@@ -13,45 +13,51 @@ with mu the constant grading matrix of the chart.  All of this is numerical
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import permutations
+from functools import lru_cache
 
 import numpy as np
 
-from .charts import FMChart, mu_matrix, structure_constants, third_derivatives
+from .charts import FMChart, mu_matrix, structure_constants
 from .errors import NumericError, SemisimplicityError
-from .poly import MultiPoly
 from .series import ExpSeries
 
 DEFAULT_MARGIN = 1e-6
 
 
-def _compile_value(p):
-    """Turn a MultiPoly or ExpSeries into a fast numeric evaluator."""
-    if isinstance(p, ExpSeries):
-        parts = [(k, _compile_value(q)) for k, q in p.parts.items()]
-        marker = p.marker_var
-
-        def ev_series(t: np.ndarray) -> complex:
-            return sum(
-                (f(t) * np.exp(k * t[marker]) for k, f in parts), start=0j
-            )
-
-        return ev_series
-    if not p.terms:
-        return lambda t: 0j
-    exps = np.array(list(p.terms.keys()), dtype=np.int64)
-    coeffs = np.array([complex(c) for c in p.terms.values()])
-
-    def ev_poly(t: np.ndarray) -> complex:
-        return complex(np.sum(coeffs * np.prod(t[None, :] ** exps, axis=1)))
-
-    return ev_poly
+def _compile(tensor, n: int):
+    """Exponent matrix, marker degrees and coefficient matrix of an n^3 tensor
+    of MultiPoly or ExpSeries entries, over the union of their monomials."""
+    rows: dict[tuple[int, tuple[int, ...]], int] = {}
+    index, cols, vals = [], [], []
+    for col, p in enumerate(p for plane in tensor for line in plane for p in line):
+        parts = p.parts.items() if isinstance(p, ExpSeries) else ((0, p),)
+        for k, poly in parts:
+            for exps, coef in poly.terms.items():
+                index.append(rows.setdefault((k, exps), len(rows)))
+                cols.append(col)
+                vals.append(float(coef))
+    E = np.array([exps for _, exps in rows], dtype=np.int64).reshape(len(rows), n)
+    K = np.array([k for k, _ in rows], dtype=float)
+    C = np.zeros((len(rows), n**3), dtype=complex)
+    C[index, cols] = vals
+    return E, K, C
 
 
 class ChartEvaluator:
-    """Precompiled numeric access to a chart's tensors at complex points."""
+    """Precompiled numeric access to a chart's tensors at complex points.
+
+    The structure constants are compiled once into one linear map over the
+    union of the monomials of all n^3 entries c_{ab}^g.  Row r of the exponent
+    matrix ``E`` (m x n) and of the marker-degree vector ``K`` (m) stands for
+    the monomial t^E[r] exp(K[r] t_marker) (K = 0 for polynomial charts), and
+    ``C`` (m x n^3, column (a n + b) n + g) holds its coefficients, so
+
+        c(t) = (prod(t**E, axis=1) * exp(K t_marker)) @ C
+
+    reshaped to n x n x n.  Since c = eta^{-1} F_3, the third derivatives
+    F_{abe} = c_{ab}^g eta_{ge} follow exactly without a second compile."""
 
     def __init__(self, chart: FMChart):
         self.chart = chart
@@ -60,37 +66,20 @@ class ChartEvaluator:
         self.eta_inv = np.linalg.inv(self.eta)
         self.e_lin = np.array([[float(x) for x in row] for row in chart.euler_linear])
         self.e_const = np.array([float(x) for x in chart.euler_const])
-        c = structure_constants(chart)
-        self._c = [
-            [[_compile_value(c[a][b][g]) for g in range(self.n)] for b in range(self.n)]
-            for a in range(self.n)
-        ]
-        f3 = third_derivatives(chart)
-        self._f3 = [
-            [[_compile_value(f3[a][b][g]) for g in range(self.n)] for b in range(self.n)]
-            for a in range(self.n)
-        ]
+        pot = chart.potential
+        self.marker = pot.marker_var if isinstance(pot, ExpSeries) else 0
+        self.E, self.K, self.C = _compile(structure_constants(chart), self.n)
         mu = mu_matrix(chart)
         self.mu = np.array([[float(x) for x in row] for row in mu])
         self.mu_diag = tuple(mu[i][i] for i in range(self.n))
 
     def c_tensor(self, t: np.ndarray) -> np.ndarray:
         n = self.n
-        out = np.empty((n, n, n), dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                for g in range(n):
-                    out[a, b, g] = self._c[a][b][g](t)
-        return out
+        mono = np.prod(t**self.E, axis=1) * np.exp(self.K * t[self.marker])
+        return (mono @ self.C).reshape(n, n, n)
 
     def third(self, t: np.ndarray) -> np.ndarray:
-        n = self.n
-        out = np.empty((n, n, n), dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                for g in range(n):
-                    out[a, b, g] = self._f3[a][b][g](t)
-        return out
+        return np.einsum("abg,ge->abe", self.c_tensor(t), self.eta)
 
     def euler(self, t: np.ndarray) -> np.ndarray:
         return self.e_lin @ t + self.e_const
@@ -123,16 +112,27 @@ def canonical_coordinates(chart, t, margin: float = DEFAULT_MARGIN) -> np.ndarra
     return u
 
 
-def _require_separated(u: np.ndarray, margin: float) -> None:
-    n = len(u)
-    scale = max(np.max(np.abs(u)), 1e-300)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(u[i] - u[j]) <= margin * scale:
-                raise SemisimplicityError(
-                    f"canonical coordinates {i + 1} and {j + 1} collide "
-                    f"(separation {abs(u[i] - u[j]):.3e} vs margin {margin * scale:.3e})"
-                )
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j of an n x n matrix in row-major order."""
+    return np.triu_indices(n, 1)
+
+
+def _require_separated(
+    u: np.ndarray, margin: float, what: str = "canonical coordinates collide"
+) -> None:
+    """Raise SemisimplicityError naming the first pair (i < j, row-major) with
+    |u_i - u_j| <= margin * max|u|."""
+    u = np.asarray(u)
+    limit = margin * max(np.abs(u).max(), 1e-300)
+    i, j = _pairs(len(u))
+    gaps = np.abs(u[i] - u[j])
+    close = gaps <= limit
+    if close.any():
+        k = int(np.argmax(close))
+        raise SemisimplicityError(
+            f"{what}: |u_{i[k] + 1} - u_{j[k] + 1}| = {gaps[k]:.3e} (margin {limit:.3e})"
+        )
 
 
 @dataclass
@@ -170,6 +170,12 @@ class CanonicalFrame:
         return complex(np.linalg.det(self.jacobian))
 
 
+def _product(c: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Row-wise algebra products: row i is x_i * y_i, i.e. c_{ab}^g x_ia y_ib."""
+    n = c.shape[0]
+    return (X[:, :, None] * Y[:, None, :]).reshape(len(X), n * n) @ c.reshape(n * n, n)
+
+
 def canonical_frame(
     chart, t, margin: float = DEFAULT_MARGIN, frame_tol: float | None = 1e-8
 ) -> CanonicalFrame:
@@ -193,39 +199,37 @@ def canonical_frame(
     w, vecs = np.linalg.eig(M)
     _require_separated(w, margin)
 
-    raw = np.empty((n, n), dtype=complex)
-    refined_u = np.empty(n, dtype=complex)
-    for col in range(n):
-        vcol = vecs[:, col]
-        sq = np.einsum("abg,a,b->g", c, vcol, vcol)
-        j = int(np.argmax(np.abs(vcol)))
-        lam = sq[j] / vcol[j]
-        if abs(lam) < 1e-13:
-            raise SemisimplicityError("nilpotent direction: eigenvector squares to ~0")
-        pi = vcol / lam
-        for _ in range(8):
-            sq = np.einsum("abg,a,b->g", c, pi, pi)
-            if np.max(np.abs(sq - pi)) < 1e-14:
-                break
-            cube = np.einsum("abg,a,b->g", c, sq, pi)
-            pi = 3 * sq - 2 * cube
-        raw[col] = pi
-        ep = M @ pi
-        j = int(np.argmax(np.abs(pi)))
-        refined_u[col] = ep[j] / pi[j]
+    # rows of P are the candidate idempotents, purified together
+    rows = np.arange(n)
+    P = vecs.T
+    sq = _product(c, P, P)
+    j = np.argmax(np.abs(P), axis=1)
+    lam = sq[rows, j] / P[rows, j]
+    if np.abs(lam).min() < 1e-13:
+        raise SemisimplicityError("nilpotent direction: eigenvector squares to ~0")
+    P = P / lam[:, None]
+    for _ in range(8):
+        sq = _product(c, P, P)
+        active = np.abs(sq - P).max(axis=1) >= 1e-14
+        if not active.any():
+            break
+        cube = _product(c, sq, P)
+        P = np.where(active[:, None], 3 * sq - 2 * cube, P)
+    j = np.argmax(np.abs(P), axis=1)
+    refined_u = (P @ M.T)[rows, j] / P[rows, j]
 
     order = np.lexsort((refined_u.imag, refined_u.real))
     u = refined_u[order]
     _require_separated(u, margin)
-    idem = raw[order]
+    idem = P[order]
 
-    norms = np.einsum("ia,ab,ib->i", idem, ev.eta.astype(complex), idem)
-    if np.min(np.abs(norms)) < 1e-13:
+    lowered = idem @ ev.eta
+    norms = np.sum(lowered * idem, axis=1)
+    if np.abs(norms).min() < 1e-13:
         raise NumericError("frame breakdown: an idempotent has ~zero square norm")
-    psi1 = np.sqrt(norms)
-    psi = (idem @ ev.eta.astype(complex)) / psi1[:, None]
+    psi = lowered / np.sqrt(norms)[:, None]
 
-    defect = float(np.max(np.abs(psi.T @ psi - ev.eta)))
+    defect = float(np.abs(psi.T @ psi - ev.eta).max())
     if frame_tol is not None and defect > frame_tol:
         raise NumericError(
             f"frame breakdown: |Psi^T Psi - eta| = {defect:.2e} at this point "
@@ -234,7 +238,7 @@ def canonical_frame(
         )
 
     # V = Psi mu Psi^{-1} with Psi^{-1} = eta^{-1} Psi^T
-    v = psi @ ev.mu.astype(complex) @ ev.eta_inv.astype(complex) @ psi.T
+    v = psi @ (ev.mu @ ev.eta_inv) @ psi.T
 
     return CanonicalFrame(
         point=tuple(complex(x) for x in tt),
@@ -263,6 +267,16 @@ class ViSet:
         return sum(self.vs)
 
 
+def _over_gaps(u: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """R_{jk} = V_{jk} / (u_j - u_k) off the diagonal, R_{jj} = 0."""
+    diagonal = slice(None, None, len(u) + 1)
+    gaps = u[:, None] - u
+    gaps.flat[diagonal] = 1
+    R = V / gaps
+    R.flat[diagonal] = 0
+    return R
+
+
 def vi_matrices(u, V=None) -> ViSet:
     """(V_i)_{jk} = (delta_{ij} V_{ik} - delta_{ik} V_{ji}) / (u_j - u_k).
 
@@ -274,50 +288,76 @@ def vi_matrices(u, V=None) -> ViSet:
     u = np.asarray(u, dtype=complex)
     V = np.asarray(V, dtype=complex)
     n = len(u)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if u[i] == u[j]:
-                raise SemisimplicityError("coincident canonical coordinates")
-    vs = []
-    for i in range(n):
-        Vi = np.zeros((n, n), dtype=complex)
-        for j in range(n):
-            for k in range(n):
-                if j == k:
-                    continue
-                num = (V[i, k] if j == i else 0) - (V[j, i] if k == i else 0)
-                if num != 0:
-                    Vi[j, k] = num / (u[j] - u[k])
-        vs.append(Vi)
-    units = []
-    for i in range(n):
-        E = np.zeros((n, n))
-        E[i, i] = 1.0
-        units.append(E)
-    return ViSet(u, vs, units)
+    i, j = _pairs(n)
+    if np.any(u[i] == u[j]):
+        raise SemisimplicityError("coincident canonical coordinates")
+    R = _over_gaps(u, V)
+    k = np.arange(n)
+    vs = np.zeros((n, n, n), dtype=complex)
+    vs[k, k, :] = R
+    vs[k, :, k] = -R.T
+    return ViSet(u, list(vs), [np.diag(e) for e in np.eye(n)])
+
+
+def _assignment(cost: np.ndarray) -> tuple[int, ...]:
+    """Exact minimum-cost assignment (row i -> column p[i]) of a square cost
+    matrix: the Hungarian method in its O(n^3) shortest-augmenting-path form
+    with dual potentials.  Rows and columns are 1-based; column 0 is a
+    virtual column from which each new row starts its search."""
+    n = cost.shape[0]
+    c = np.zeros((n + 1, n + 1))
+    c[1:, 1:] = cost
+    row_pot = np.zeros(n + 1)
+    col_pot = np.zeros(n + 1)
+    owner = np.zeros(n + 1, dtype=np.int64)  # owner[j]: row matched to column j, 0 if none
+    came_from = np.zeros(n + 1, dtype=np.int64)
+    for row in range(1, n + 1):
+        owner[0], j0 = row, 0
+        slack = np.full(n + 1, np.inf)
+        used = np.zeros(n + 1, dtype=bool)
+        while owner[j0]:
+            used[j0] = True
+            i0 = owner[j0]
+            reduced = c[i0] - row_pot[i0] - col_pot
+            better = ~used & (reduced < slack)
+            slack[better] = reduced[better]
+            came_from[better] = j0
+            j0 = int(np.argmin(np.where(used, np.inf, slack)))
+            delta = slack[j0]
+            row_pot[owner[used]] += delta
+            col_pot[used] -= delta
+            slack[~used] -= delta
+        while j0:
+            owner[j0] = owner[came_from[j0]]
+            j0 = came_from[j0]
+    p = np.empty(n, dtype=np.int64)
+    p[owner[1:] - 1] = np.arange(n)
+    return tuple(int(x) for x in p)
 
 
 def match_ordering(u_ref, u_new) -> tuple[int, ...]:
-    """Permutation p minimizing sum |u_new[p[i]] - u_ref[i]| (exact for n <= 7)."""
-    u_ref = np.asarray(u_ref)
-    u_new = np.asarray(u_new)
-    n = len(u_ref)
-    best, best_cost = None, np.inf
-    for p in permutations(range(n)):
-        cost = sum(abs(u_new[p[i]] - u_ref[i]) for i in range(n))
-        if cost < best_cost:
-            best, best_cost = p, cost
-    return best
+    """Permutation p minimizing sum_i |u_new[p[i]] - u_ref[i]|, exact for every n.
+
+    Every assignment pays at least the row minimum of the cost matrix
+    |u_new[j] - u_ref[i]| in each row i, so the sum of row minima bounds the
+    optimum from below.  When the row-wise argmins already form a permutation
+    they attain that bound and are returned (the unique optimum when each row
+    minimum is strict, hence what exhaustive search returns); otherwise the
+    assignment is solved exactly in O(n^3)."""
+    cost = np.abs(np.subtract.outer(np.asarray(u_ref), np.asarray(u_new)))
+    p = np.argmin(cost, axis=1)
+    if len(set(p.tolist())) == len(p):
+        return tuple(int(x) for x in p)
+    return _assignment(cost)
 
 
 def reorder_frame(frame: CanonicalFrame, perm: tuple[int, ...]) -> CanonicalFrame:
     """Relabel the canonical directions by ``perm`` (new row i = old row perm[i])."""
     p = list(perm)
-    return CanonicalFrame(
-        point=frame.point,
+    return replace(
+        frame,
         u=frame.u[p],
         psi=frame.psi[p],
-        mu_diag=frame.mu_diag,
         v=frame.v[np.ix_(p, p)],
         jacobian=frame.jacobian[p],
         idempotents=frame.idempotents[p],

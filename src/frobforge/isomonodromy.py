@@ -23,32 +23,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, SemisimplicityError
+from .errors import NumericError
 from .frames import (
+    DEFAULT_MARGIN,
     ChartEvaluator,
     CanonicalFrame,
+    _over_gaps,
+    _pairs,
+    _require_separated,
     canonical_frame,
     match_ordering,
     reorder_frame,
     vi_matrices,
 )
 
-DEFAULT_MARGIN = 1e-6
-
 
 def upper_of(V: np.ndarray) -> np.ndarray:
-    n = V.shape[0]
-    return np.array([V[i, j] for i in range(n) for j in range(i + 1, n)])
+    """Strict upper triangle of V, row by row."""
+    V = np.asarray(V)
+    return V[_pairs(V.shape[0])]
 
 
 def skew_from_upper(n: int, upper: np.ndarray) -> np.ndarray:
+    i, j = _pairs(n)
     V = np.zeros((n, n), dtype=complex)
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            V[i, j] = upper[k]
-            V[j, i] = -upper[k]
-            k += 1
+    V[i, j] = upper
+    V[j, i] = -np.asarray(upper)
     return V
 
 
@@ -74,27 +74,13 @@ class IsomonodromyState:
         return skew_from_upper(self.n, np.array(self.v_upper))
 
 
+def _hamiltonians(u: np.ndarray, V: np.ndarray) -> np.ndarray:
+    return 0.5 * (V * _over_gaps(u, V)).sum(axis=1)
+
+
 def hamiltonians(state: IsomonodromyState) -> np.ndarray:
     """H_i = 1/2 sum_{j != i} V_ij^2 / (u_i - u_j); their sum vanishes."""
-    u = np.array(state.u)
-    V = state.v_matrix
-    n = state.n
-    H = np.zeros(n, dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if j != i:
-                H[i] += 0.5 * V[i, j] ** 2 / (u[i] - u[j])
-    return H
-
-
-def _hamiltonians_raw(u: np.ndarray, V: np.ndarray) -> np.ndarray:
-    n = len(u)
-    H = np.zeros(n, dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if j != i:
-                H[i] += 0.5 * V[i, j] ** 2 / (u[i] - u[j])
-    return H
+    return _hamiltonians(np.array(state.u), state.v_matrix)
 
 
 def flow_rhs(i: int, state: IsomonodromyState) -> np.ndarray:
@@ -106,9 +92,18 @@ def flow_rhs(i: int, state: IsomonodromyState) -> np.ndarray:
     return Vi @ V - V @ Vi
 
 
+def _directional_flow(u: np.ndarray, V: np.ndarray, du: np.ndarray) -> tuple[np.ndarray, complex]:
+    """sum_i du_i [V_i, V] and sum_i du_i H_i at (u, V), in closed form.
+
+    sum_i du_i V_i = W with W_jk = V_jk (du_j - du_k) / (u_j - u_k) and
+    W_jj = 0, so the first is [W, V]; the second is 1/4 sum_jk V_jk W_jk."""
+    W = _over_gaps(u, V) * (du[:, None] - du)
+    return W @ V - V @ W, 0.25 * (V * W).sum()
+
+
 # Dormand-Prince 5(4) tableau
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
+_DP_A = tuple(np.array(row) for row in (
     (),
     (1 / 5,),
     (3 / 40, 9 / 40),
@@ -116,9 +111,9 @@ _DP_A = (
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+))
+_DP_B5 = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0))
+_DP_B4 = np.array((5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40))
 
 
 @dataclass
@@ -169,16 +164,7 @@ def integrate(
     traj = IsomonodromyTrajectory(tol=tol)
     y = np.concatenate([np.array(state0.v_upper, dtype=complex), [0j]])
     n_upper = n * (n - 1) // 2
-
-    def check_margin(u: np.ndarray) -> None:
-        scale = max(np.max(np.abs(u)), 1e-300)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(u[i] - u[j]) <= margin * scale:
-                    raise SemisimplicityError(
-                        f"path hits a caustic: |u_{i + 1} - u_{j + 1}| = "
-                        f"{abs(u[i] - u[j]):.3e}"
-                    )
+    upper = _pairs(n)
 
     def record(param: float, u: np.ndarray, yv: np.ndarray) -> None:
         V = skew_from_upper(n, yv[:n_upper])
@@ -187,12 +173,12 @@ def integrate(
                 param,
                 tuple(u),
                 tuple(yv[:n_upper]),
-                tuple(_hamiltonians_raw(u, V)),
+                tuple(_hamiltonians(u, V)),
                 complex(yv[n_upper]),
             )
         )
 
-    check_margin(u0)
+    _require_separated(u0, margin, "path hits a caustic")
     record(0.0, u0, y)
 
     for seg in range(len(waypoints) - 1):
@@ -200,16 +186,8 @@ def integrate(
         du = ub - ua
 
         def rhs(s: float, yv: np.ndarray) -> np.ndarray:
-            u = ua + s * du
-            V = skew_from_upper(n, yv[:n_upper])
-            vis = vi_matrices(u, V)
-            dV = np.zeros((n, n), dtype=complex)
-            for i in range(n):
-                if du[i] != 0:
-                    Vi = vis.vs[i]
-                    dV += (Vi @ V - V @ Vi) * du[i]
-            dtau = complex(np.dot(_hamiltonians_raw(u, V), du))
-            return np.concatenate([upper_of(dV), [dtau]])
+            dV, dtau = _directional_flow(ua + s * du, skew_from_upper(n, yv[:n_upper]), du)
+            return np.concatenate((dV[upper], [dtau]))
 
         s = 0.0
         h = 0.1
@@ -219,18 +197,13 @@ def integrate(
             h = min(h, 1.0 - s)
             if h < 1e-14:
                 raise NumericError("step-size underflow (likely near a caustic)")
-            try:
-                check_margin(ua + (s + h) * du)
-            except SemisimplicityError:
-                raise
-            k = [rhs(s, y)]
+            _require_separated(ua + (s + h) * du, margin, "path hits a caustic")
+            k = np.empty((7, len(y)), dtype=complex)
+            k[0] = rhs(s, y)
             for stage in range(1, 7):
-                ys = y + h * sum(
-                    a * k[m] for m, a in enumerate(_DP_A[stage]) if a != 0.0
-                )
-                k.append(rhs(s + _DP_C[stage] * h, ys))
-            y5 = y + h * sum(b * k[m] for m, b in enumerate(_DP_B5) if b != 0.0)
-            y4 = y + h * sum(b * k[m] for m, b in enumerate(_DP_B4) if b != 0.0)
+                k[stage] = rhs(s + _DP_C[stage] * h, y + h * (_DP_A[stage] @ k[:stage]))
+            y5 = y + h * (_DP_B5 @ k)
+            y4 = y + h * (_DP_B4 @ k)
             err = float(np.max(np.abs(y5 - y4)))
             scale = max(1.0, float(np.max(np.abs(y5))))
             if err <= tol * scale:
@@ -252,29 +225,23 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 @dataclass
 class GValue:
-    """Difference of the G-function between two chart points."""
+    """Difference of the G-function between two chart points, with what it
+    cost and how sure it is: the tau quadrature level reached, the dyadic
+    level of the log J grid, the number of distinct frames evaluated and the
+    largest frame defect |Psi^T Psi - eta| among them."""
 
     base_point: tuple[complex, ...]
     target_point: tuple[complex, ...]
     d_log_tau: complex
     d_log_j: complex
+    level: int
+    j_level: int
+    frames: int
+    max_defect: float
 
     @property
     def delta_g(self) -> complex:
         return self.d_log_tau - self.d_log_j / 24
-
-
-def _segment_frame(ev: ChartEvaluator, t0, t1, margin):
-    t0 = np.array([complex(x) for x in t0], dtype=complex)
-    t1 = np.array([complex(x) for x in t1], dtype=complex)
-    cache: dict[float, CanonicalFrame] = {}
-
-    def frame_at(sig: float) -> CanonicalFrame:
-        if sig not in cache:
-            cache[sig] = canonical_frame(ev, t0 + sig * (t1 - t0), margin)
-        return cache[sig]
-
-    return frame_at, (t1 - t0)
 
 
 def g_function(
@@ -293,13 +260,19 @@ def g_function(
     ev = chart if isinstance(chart, ChartEvaluator) else ChartEvaluator(chart)
     t0 = np.array([complex(x) for x in t0], dtype=complex)
     t1 = np.array([complex(x) for x in t1], dtype=complex)
-    frame_at, dt = _segment_frame(ev, t0, t1, margin)
+    dt = t1 - t0
+    cache: dict[float, CanonicalFrame] = {}
+
+    def frame_at(sig: float) -> CanonicalFrame:
+        if sig not in cache:
+            cache[sig] = canonical_frame(ev, t0 + sig * dt, margin)
+        return cache[sig]
 
     def integrand(sig: float) -> complex:
         fr = frame_at(sig)
         # du_i/dsig from dt = jacobian^T du
         udot = np.linalg.solve(fr.jacobian.T, dt)
-        H = _hamiltonians_raw(fr.u, fr.v)
+        H = _hamiltonians(fr.u, fr.v)
         return complex(np.dot(H, udot))
 
     def quad(levels_from: int = 2):
@@ -342,5 +315,9 @@ def g_function(
                 tuple(complex(x) for x in t1),
                 d_log_tau,
                 d_log_j,
+                level=level,
+                j_level=jlevel,
+                frames=len(cache),
+                max_defect=max(fr.defect for fr in cache.values()),
             )
     raise NumericError("log J branch tracking failed; refine the path")

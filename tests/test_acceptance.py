@@ -72,6 +72,16 @@ def test_criterion_10_pairing_and_division():
 def test_criterion_11_p1_compatibility():
     res = _run(11)
     assert res.passed, res.detail
+    assert res.detail.endswith("fails as required")
+
+
+def test_criterion_11_reports_a_passing_control_as_a_failure(monkeypatch):
+    real = acceptance.check_compatibility
+    # a tolerance of 1 lets the perturbed control (residual ~5e-3) pass
+    monkeypatch.setattr(acceptance, "check_compatibility", lambda data, tol: real(data, tol=1.0))
+    res = _run(11)
+    assert not res.passed
+    assert res.detail.endswith("passes but must fail")
 
 
 def test_criterion_12_flow_commutativity():

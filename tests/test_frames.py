@@ -1,19 +1,25 @@
+import time
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from frobforge.charts import FMChart
+from frobforge.charts import FMChart, structure_constants, third_derivatives
 from frobforge.errors import SemisimplicityError
 from frobforge.frames import (
     ChartEvaluator,
     canonical_coordinates,
     canonical_frame,
     match_ordering,
+    reorder_frame,
     vi_matrices,
 )
 from frobforge.linalg import frac_matrix
 from frobforge.poly import MultiPoly
+from frobforge.projective import build_p2_chart
 from frobforge.unfolding import Unfolding, build_an_chart, critical_values, flat_coordinates
 
 
@@ -192,3 +198,87 @@ def test_match_ordering():
     u_ref = np.array([1.0, 2.0, 3.0])
     u_new = np.array([3.001, 1.002, 1.998])
     assert match_ordering(u_ref, u_new) == (1, 2, 0)
+
+
+def _cost(u_ref, u_new, p):
+    return sum(abs(u_new[p[i]] - u_ref[i]) for i in range(len(u_ref)))
+
+
+# Points on a coarse grid make ties and colliding row argmins common, so both
+# the argmin path and the assignment fallback of match_ordering are exercised.
+_grid_point = st.builds(complex, st.integers(-2, 2), st.integers(-2, 2))
+_fine_point = st.builds(
+    complex,
+    st.floats(-3, 3, allow_nan=False, allow_infinity=False),
+    st.floats(-3, 3, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _ordering_inputs(draw):
+    n = draw(st.integers(1, 6))
+    point = draw(st.sampled_from([_grid_point, _fine_point]))
+    u_ref = draw(st.lists(point, min_size=n, max_size=n))
+    u_new = draw(st.lists(point, min_size=n, max_size=n))
+    return np.array(u_ref), np.array(u_new)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ordering_inputs())
+def test_match_ordering_attains_the_brute_force_minimum(inputs):
+    u_ref, u_new = inputs
+    n = len(u_ref)
+    p = match_ordering(u_ref, u_new)
+    assert sorted(p) == list(range(n))
+    best = min(_cost(u_ref, u_new, q) for q in permutations(range(n)))
+    assert _cost(u_ref, u_new, p) <= best + 1e-12
+
+
+def test_match_ordering_strict_row_minima_give_the_brute_force_permutation():
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        u_ref = rng.normal(size=5) + 1j * rng.normal(size=5)
+        u_new = u_ref[rng.permutation(5)] + 1e-3 * rng.normal(size=5)
+        brute = min(permutations(range(5)), key=lambda q: _cost(u_ref, u_new, q))
+        assert match_ordering(u_ref, u_new) == brute
+
+
+def test_match_ordering_fallback_at_n10_is_fast_and_optimal():
+    # every row argmin lands on column 0 or 9, so only the assignment solves it
+    u_ref = np.arange(10.0) + 0j
+    u_new = 4.5 + 1e-3 * np.arange(10.0) + 0j
+    cost = np.abs(np.subtract.outer(u_ref, u_new))
+    assert len(set(np.argmin(cost, axis=1))) < 10
+    start = time.perf_counter()
+    p = match_ordering(u_ref, u_new)
+    assert time.perf_counter() - start < 0.2
+    assert sorted(p) == list(range(10))
+    # on a line the monotone matching is optimal for |x - y|
+    assert _cost(u_ref, u_new, p) == pytest.approx(_cost(u_ref, u_new, range(10)), abs=1e-12)
+
+
+def test_reordered_frame_keeps_its_defect():
+    fr = canonical_frame(build_an_chart(3), [0.2, 0.4, 1.1])
+    assert fr.defect > 0
+    moved = reorder_frame(fr, (2, 0, 1))
+    assert moved.defect == fr.defect
+    assert np.array_equal(moved.u, fr.u[[2, 0, 1]])
+
+
+@pytest.mark.parametrize(
+    "chart", [build_an_chart(3), build_an_chart(5), build_p2_chart(5)], ids=["A3", "A5", "P2@5"]
+)
+def test_compiled_tensors_match_term_by_term_evaluation(chart):
+    ev = ChartEvaluator(chart)
+    n = chart.n
+    c = structure_constants(chart)
+    f3 = third_derivatives(chart)
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        t = 0.4 * rng.normal(size=n) + 0.2j * rng.normal(size=n)
+        ref_c = np.array([[[complex(c[a][b][g].evaluate(t)) for g in range(n)]
+                           for b in range(n)] for a in range(n)])
+        ref_f = np.array([[[complex(f3[a][b][g].evaluate(t)) for g in range(n)]
+                           for b in range(n)] for a in range(n)])
+        for got, ref in ((ev.c_tensor(t), ref_c), (ev.third(t), ref_f)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

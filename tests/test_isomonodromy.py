@@ -5,6 +5,7 @@ from frobforge.errors import SemisimplicityError
 from frobforge.frames import ChartEvaluator
 from frobforge.isomonodromy import (
     IsomonodromyState,
+    _directional_flow,
     flow_rhs,
     g_function,
     hamiltonians,
@@ -105,6 +106,20 @@ def test_flow_matches_linear_poisson_bracket():
         assert np.max(np.abs(rhs - oracle)) < 1e-12
 
 
+def test_directional_flow_matches_the_sum_of_directional_flows():
+    # the closed form sum_i du_i V_i = W against the per-direction V_i route
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 5):
+        for seed in range(4):
+            u = rng.normal(size=n) + 1j * rng.normal(size=n)
+            du = rng.normal(size=n) + 1j * rng.normal(size=n)
+            st = IsomonodromyState.from_matrix(u, random_skew(n, 100 * n + seed))
+            dV, dtau = _directional_flow(np.array(st.u), st.v_matrix, du)
+            ref = sum(du[i] * flow_rhs(i + 1, st) for i in range(n))
+            assert np.max(np.abs(dV - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
+            assert abs(dtau - np.dot(hamiltonians(st), du)) < 1e-12
+
+
 def test_integrate_constant_v_closed_form():
     v = 0.3 + 0.1j
     st = IsomonodromyState.from_matrix([0.0, 1.0], [[0, v], [-v, 0]])
@@ -170,6 +185,15 @@ def test_g_function_zero_segment():
     chart = build_an_chart(3)
     gv = g_function(chart, [0.2, 0.4, 1.1], [0.2, 0.4, 1.1], tol=1e-9)
     assert abs(gv.delta_g) < 1e-12
+
+
+def test_g_value_reports_its_diagnostics():
+    # 32 + 64 Gauss nodes at quadrature levels 2 and 3, plus the 9 points of
+    # the level-3 log J grid: 105 distinct frames
+    ev = ChartEvaluator(build_an_chart(3))
+    gv = g_function(ev, [0.2, 0.4, 1.1], [0.5, 0.1, 1.4], tol=1e-9)
+    assert (gv.level, gv.j_level, gv.frames) == (3, 3, 105)
+    assert 0 < gv.max_defect < 1e-10
 
 
 def test_g_function_unity_invariance():
