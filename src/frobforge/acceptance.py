@@ -208,9 +208,9 @@ def criterion_6(seed: int = 0) -> CriterionResult:
         worst_j = max(worst_j, _jacobian_residual(fr, c))
         ratio = fr.J / complex(np.prod(fr.psi1))
         ratios.add(complex(round(ratio.real, 6) + 0.0, round(ratio.imag, 6) + 0.0))
-    scaled = frames[0].jacobian.copy()
+    scaled = frames[0].idempotents.copy()
     scaled[0] *= 1 + 1e-3
-    control = _jacobian_residual(replace(frames[0], jacobian=scaled), c)
+    control = _jacobian_residual(replace(frames[0], idempotents=scaled), c)
     ok = worst_psi < 1e-10 and worst_spec < 1e-8 and worst_j < 1e-8 and control >= 1e-8
     detail = (
         f"Psi^T Psi - eta: {worst_psi:.2e} (tol 1e-10); spec(V) vs mu: {worst_spec:.2e} "

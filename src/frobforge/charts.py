@@ -25,39 +25,6 @@ from .series import ExpSeries
 Potential = Union[MultiPoly, ExpSeries]
 
 
-# -- generic helpers over both coefficient rings -----------------------------
-
-def zero_like(sample: Potential):
-    if isinstance(sample, ExpSeries):
-        return ExpSeries.zero(sample.arity, sample.marker_var, sample.trunc)
-    return MultiPoly.zero(sample.arity)
-
-
-def const_like(sample: Potential, value):
-    if isinstance(sample, ExpSeries):
-        return ExpSeries(
-            sample.arity, sample.marker_var, sample.trunc,
-            {0: MultiPoly.const(sample.arity, value)},
-        )
-    return MultiPoly.const(sample.arity, value)
-
-
-def var_like(sample: Potential, index: int):
-    if isinstance(sample, ExpSeries):
-        return ExpSeries.from_poly(
-            MultiPoly.variable(sample.arity, index), sample.marker_var, sample.trunc
-        )
-    return MultiPoly.variable(sample.arity, index)
-
-
-def is_at_most_quadratic(p: Potential) -> bool:
-    if isinstance(p, ExpSeries):
-        if any(k >= 1 for k in p.parts):
-            return False
-        return p.part(0).total_degree() <= 2
-    return p.total_degree() <= 2
-
-
 # -- the chart -----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -102,19 +69,19 @@ class FMChart:
         """E^a(t) as ring elements: linear part applied to t plus constants."""
         comps = []
         for a in range(self.n):
-            acc = zero_like(self.potential)
+            acc = self.potential.zero_like()
             for b in range(self.n):
                 coef = self.euler_linear[a][b]
                 if coef:
-                    acc = acc + var_like(self.potential, b).scale(coef)
+                    acc = acc + self.potential.var_like(b).scale(coef)
             if self.euler_const[a]:
-                acc = acc + const_like(self.potential, self.euler_const[a])
+                acc = acc + self.potential.const_like(self.euler_const[a])
             comps.append(acc)
         return comps
 
     def lie_euler(self, f: Potential) -> Potential:
         """Lie derivative of a function along the Euler field."""
-        acc = zero_like(self.potential)
+        acc = self.potential.zero_like()
         for a, ea in enumerate(self.euler_components()):
             df = f.diff(a)
             if not (ea.is_zero() or df.is_zero()):
@@ -124,8 +91,16 @@ class FMChart:
 
 def third_derivatives(chart: FMChart) -> list[list[list[Potential]]]:
     """F_{abc} = d_a d_b d_c F, computed once and shared by symmetry."""
-    n = chart.n
-    F = chart.potential
+    return _third_derivatives(chart.potential, chart.n)
+
+
+def structure_constants(chart: FMChart) -> list[list[list[Potential]]]:
+    """c_{ab}^g = eta^{ge} F_{abe}; symmetric in the two lower indices."""
+    return _structure_constants(chart.potential, chart.eta_inv)
+
+
+def _third_derivatives(F: Potential, n: int) -> list[list[list[Potential]]]:
+    """Third derivatives of F in its first n variables."""
     first = [F.diff(a) for a in range(n)]
     second = [[first[a].diff(b) if b >= a else None for b in range(n)] for a in range(n)]
     out = [[[None] * n for _ in range(n)] for _ in range(n)]
@@ -140,16 +115,15 @@ def third_derivatives(chart: FMChart) -> list[list[list[Potential]]]:
     return out
 
 
-def structure_constants(chart: FMChart) -> list[list[list[Potential]]]:
-    """c_{ab}^g = eta^{ge} F_{abe}; symmetric in the two lower indices."""
-    n = chart.n
-    eta_inv = chart.eta_inv
-    F3 = third_derivatives(chart)
-    c = [[[zero_like(chart.potential) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+def _structure_constants(F: Potential, eta_inv: FracMatrix) -> list[list[list[Potential]]]:
+    """c_{ab}^g of F in its first len(eta_inv) variables."""
+    n = len(eta_inv)
+    F3 = _third_derivatives(F, n)
+    c = [[[None] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
             for g in range(n):
-                acc = zero_like(chart.potential)
+                acc = F.zero_like()
                 for e in range(n):
                     coef = eta_inv[g][e]
                     if coef:
@@ -157,6 +131,25 @@ def structure_constants(chart: FMChart) -> list[list[list[Potential]]]:
                 c[a][b][g] = acc
                 c[b][a][g] = acc
     return c
+
+
+def wdvv_residuals(F: Potential, eta_inv: FracMatrix):
+    """Associativity residuals c_{ab}^e c_{eg}^d - c_{bg}^e c_{ea}^d of the
+    multiplication read off F.
+
+    Only the first len(eta_inv) variables are coordinates; further variables
+    ride along as parameters.  Yields ((a, b, g, d), residual) with 1-based
+    indices and a < g, since the residual is antisymmetric in (a, g)."""
+    n = len(eta_inv)
+    c = _structure_constants(F, eta_inv)
+    for a in range(n):
+        for g in range(a + 1, n):
+            for b in range(n):
+                for dd in range(n):
+                    acc = F.zero_like()
+                    for e in range(n):
+                        acc = acc + c[a][b][e] * c[e][g][dd] - c[b][g][e] * c[e][a][dd]
+                    yield (a + 1, b + 1, g + 1, dd + 1), acc
 
 
 @dataclass
@@ -178,20 +171,12 @@ def check_wdvv(chart: FMChart) -> WdvvReport:
     A chart passes iff every residual is the zero polynomial (zero through
     the truncation degree for exponential series).
     """
-    n = chart.n
-    c = structure_constants(chart)
     nonzero = []
     checked = 0
-    for a in range(n):
-        for g in range(a + 1, n):  # residual is antisymmetric in (a, g)
-            for b in range(n):
-                for dd in range(n):
-                    acc = zero_like(chart.potential)
-                    for e in range(n):
-                        acc = acc + c[a][b][e] * c[e][g][dd] - c[b][g][e] * c[e][a][dd]
-                    checked += 1
-                    if not acc.is_zero():
-                        nonzero.append(((a + 1, b + 1, g + 1, dd + 1), acc))
+    for idx, residual in wdvv_residuals(chart.potential, chart.eta_inv):
+        checked += 1
+        if not residual.is_zero():
+            nonzero.append((idx, residual))
     return WdvvReport(passed=not nonzero, checked=checked, nonzero=nonzero)
 
 
@@ -229,13 +214,13 @@ def check_axioms(chart: FMChart) -> AxiomReport:
     unity_ok = True
     for a in range(n):
         for b in range(a, n):
-            expect = const_like(chart.potential, chart.eta[a][b])
+            expect = chart.potential.const_like(chart.eta[a][b])
             if F3[u][a][b] != expect:
                 unity_ok = False
     residual = chart.lie_euler(chart.potential) - chart.potential.scale(
         Fraction(3) - chart.charge_d
     )
-    quasi = is_at_most_quadratic(residual)
+    quasi = residual.drop_degree_at_most(2).is_zero()
     defect = residual if not residual.is_zero() else None
     notes = (
         "symmetry of (grad c) holds identically since c is a third derivative "
@@ -250,14 +235,7 @@ def virasoro_central_charge(chart: FMChart) -> Fraction:
     if chart.charge_d == 1:
         raise AlgebraError("central charge formula has a pole at charge 1")
     n = chart.n
-    half = (Fraction(2) - chart.charge_d) / 2
-    mu = [
-        [
-            (half if i == j else Fraction(0)) - chart.euler_linear[i][j]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    mu = mu_matrix(chart)
     tr_mu2 = sum(mu[i][j] * mu[j][i] for i in range(n) for j in range(n))
     return 6 * (1 - chart.charge_d) ** -2 * (n - 4 * tr_mu2)
 
@@ -299,10 +277,10 @@ def intersection_form(chart: FMChart) -> IntersectionFormMatrix:
     for a in range(n):
         row = []
         for b in range(n):
-            acc = zero_like(chart.potential)
+            acc = chart.potential.zero_like()
             for e in range(n):
                 # c_e^{ab} = eta^{am} eta^{bn} F_{emn}
-                raised = zero_like(chart.potential)
+                raised = chart.potential.zero_like()
                 for m in range(n):
                     am = eta_inv[a][m]
                     if not am:
@@ -315,22 +293,4 @@ def intersection_form(chart: FMChart) -> IntersectionFormMatrix:
                     acc = acc + E[e] * raised
             row.append(acc)
         rows.append(row)
-    if isinstance(chart.potential, MultiPoly):
-        det = poly_mat_det(rows)
-    else:
-        det = _series_det(rows)
-    return IntersectionFormMatrix(rows, det)
-
-
-def _series_det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    det = zero_like(rows[0][0])
-    for j in range(n):
-        if rows[0][j].is_zero():
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = rows[0][j] * _series_det(minor)
-        det = det + (term if j % 2 == 0 else -term)
-    return det
+    return IntersectionFormMatrix(rows, poly_mat_det(rows))

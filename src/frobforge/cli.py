@@ -2,8 +2,11 @@
 
 One binary, subcommand style; exact data lands in JSON files, trajectories in
 CSV.  Exit codes: 0 success, 1 validation problem (bad flags, malformed JSON,
-schema violation), 2 numeric failure (tolerance, caustic).  Diagnostics go to
-stderr with a distinguishing prefix; machine output goes to stdout or files.
+schema violation) or exact-algebra failure (an input the exact layer rejects,
+such as ``an-build --n 0``), 2 numeric failure (tolerance, caustic).
+Diagnostics go to stderr with a distinguishing prefix (``usage-error:``,
+``schema-error:``, ``algebra-error:``, ``numeric-error:``); machine output goes
+to stdout or files.
 The FROBFORGE_PRECISION environment variable sets the default working
 precision in decimal digits (default 30) for connection-matrix arithmetic.
 """
@@ -24,7 +27,7 @@ from .acceptance import run_criteria
 from .charts import check_axioms, check_wdvv
 from .deformed import deformed_flat_coordinates
 from .descendents import hierarchy_flow, omega_table
-from .errors import NumericError, ValidationError
+from .errors import AlgebraError, NumericError, ValidationError
 from .frames import canonical_frame
 from .isomonodromy import IsomonodromyState, g_function, integrate
 from .monodromy import braid_orbit, braid_word, check_compatibility, default_dps, pd_connection
@@ -123,7 +126,6 @@ def _cmd_canonical(args):
         "Psi": ser.complex_matrix_to_json(frame.psi),
         "V": ser.complex_matrix_to_json(frame.v),
         "ordering": list(frame.ordering),
-        "psi_signs": list(frame.psi_signs),
     }
     _emit(obj, args.out)
     return 0
@@ -414,6 +416,9 @@ def main(argv=None) -> int:
         return 1
     except (json.JSONDecodeError, OSError) as exc:
         print(f"schema-error: {exc}", file=sys.stderr)
+        return 1
+    except AlgebraError as exc:
+        print(f"algebra-error: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:
         print(f"numeric-error: {exc}", file=sys.stderr)

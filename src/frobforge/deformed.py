@@ -17,23 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .charts import (
-    FMChart,
-    Potential,
-    const_like,
-    structure_constants,
-    var_like,
-    zero_like,
-)
+from .charts import FMChart, Potential, structure_constants
 from .errors import AlgebraError
-from .poly import MultiPoly
 
 
 def integral_from_zero(f: Potential, var: int) -> Potential:
     """Definite integral from 0 to t^var along that coordinate."""
     g = f.integrate(var)
-    if isinstance(g, MultiPoly):
-        return g  # monomial antiderivatives already vanish at 0
     return g - g.subs_zero(var)
 
 
@@ -44,7 +34,7 @@ def potential_from_gradient(components: list[Potential]) -> Potential:
     H = int h_1 dt^1 + int h_2|_{t1=0} dt^2 + ...  The caller is responsible
     for closedness; verify the gradient afterwards if it is not guaranteed.
     """
-    acc = zero_like(components[0])
+    acc = components[0].zero_like()
     for j, h in enumerate(components):
         for i in range(j):
             h = h.subs_zero(i)
@@ -61,7 +51,7 @@ def potential_from_hessian(hess: list[list[Potential]], verify: bool = True) -> 
     n = len(hess)
     grads = [potential_from_gradient(list(hess[a])) for a in range(n)]
     h = potential_from_gradient(grads)
-    h = h.drop_affine() if not isinstance(h, MultiPoly) else h.drop_degree_at_most(1)
+    h = h.drop_degree_at_most(1)
     if verify:
         for a in range(n):
             da = h.diff(a)
@@ -102,14 +92,14 @@ def deformed_flat_coordinates(chart: FMChart, order: int) -> DeformedFlatSeries:
     n = chart.n
     c = structure_constants(chart)
     eta_inv = chart.eta_inv
-    zero = zero_like(chart.potential)
+    zero = chart.potential.zero_like()
 
     def var_lowered(lam: int) -> Potential:
         acc = zero
         for g in range(n):
             coef = chart.eta[lam][g]
             if coef:
-                acc = acc + var_like(chart.potential, g).scale(coef)
+                acc = acc + chart.potential.var_like(g).scale(coef)
         return acc
 
     thetas: list[list[Potential]] = [[var_lowered(lam) for lam in range(n)]]
@@ -158,29 +148,41 @@ def _contract(c, a, b, grads, zero):
     return acc
 
 
+def eta_pairing(
+    chart: FMChart, A: list[list[Potential]], B: list[list[Potential]]
+) -> list[list[Potential]]:
+    """The matrix A^T eta B: entry (al, be) is sum_{ij} A[i][al] eta_{ij} B[j][be]."""
+    n = chart.n
+    zero = chart.potential.zero_like()
+    out = [[zero for _ in range(n)] for _ in range(n)]
+    for al in range(n):
+        for be in range(n):
+            acc = zero
+            for i in range(n):
+                for j in range(n):
+                    coef = chart.eta[i][j]
+                    if coef and not A[i][al].is_zero() and not B[j][be].is_zero():
+                        acc = acc + (A[i][al] * B[j][be]).scale(coef)
+            out[al][be] = acc
+    return out
+
+
 def pairing_defect(chart: FMChart, series: DeformedFlatSeries, p: int) -> list[list[Potential]]:
     """sum_{a+b=p} (-1)^a Theta_a^T eta Theta_b minus eta [p=0]; zero when the
     series satisfies the pairing identity at order p."""
     n = chart.n
-    zero = zero_like(chart.potential)
+    zero = chart.potential.zero_like()
     out = [[zero for _ in range(n)] for _ in range(n)]
     for a in range(p + 1):
-        b = p - a
-        Ta, Tb = series.matrices[a], series.matrices[b]
-        sign = -1 if a % 2 else 1
+        term = eta_pairing(chart, series.matrices[a], series.matrices[p - a])
         for al in range(n):
             for be in range(n):
-                acc = zero
-                for i in range(n):
-                    for j in range(n):
-                        coef = chart.eta[i][j]
-                        if coef and not Ta[i][al].is_zero() and not Tb[j][be].is_zero():
-                            acc = acc + (Ta[i][al] * Tb[j][be]).scale(coef)
-                out[al][be] = out[al][be] + (acc if sign > 0 else -acc)
+                acc = term[al][be]
+                out[al][be] = out[al][be] + (-acc if a % 2 else acc)
     if p == 0:
         for al in range(n):
             for be in range(n):
-                out[al][be] = out[al][be] - const_like(chart.potential, chart.eta[al][be])
+                out[al][be] = out[al][be] - chart.potential.const_like(chart.eta[al][be])
     return out
 
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import FMChart, Potential, const_like, zero_like
-from .deformed import DeformedFlatSeries, deformed_flat_coordinates
+from .charts import FMChart, Potential
+from .deformed import DeformedFlatSeries, deformed_flat_coordinates, eta_pairing
 from .errors import AlgebraError, NumericError
 from .frames import ChartEvaluator, canonical_coordinates
 from .isomonodromy import GValue, g_function
@@ -57,23 +57,15 @@ def omega_table(
         series = deformed_flat_coordinates(chart, order + 1)
     elif series.order < order + 1:
         raise AlgebraError("deformed flat series order too low for this table")
-    zero = zero_like(chart.potential)
+    zero = chart.potential.zero_like()
 
     def n_block(p: int, q: int) -> list[list[Potential]]:
         # coefficient of z^p w^q in Phi^T(w) eta Phi(z) - eta
-        Tq, Tp = series.matrices[q], series.matrices[p]
-        out = [[zero for _ in range(n)] for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                acc = zero
-                for i in range(n):
-                    for j in range(n):
-                        coef = chart.eta[i][j]
-                        if coef and not (Tq[i][a].is_zero() or Tp[j][b].is_zero()):
-                            acc = acc + (Tq[i][a] * Tp[j][b]).scale(coef)
-                if p == 0 and q == 0:
-                    acc = acc - const_like(chart.potential, chart.eta[a][b])
-                out[a][b] = acc
+        out = eta_pairing(chart, series.matrices[q], series.matrices[p])
+        if p == 0 and q == 0:
+            for a in range(n):
+                for b in range(n):
+                    out[a][b] = out[a][b] - chart.potential.const_like(chart.eta[a][b])
         return out
 
     cache: dict[tuple[int, int], list[list[Potential]]] = {}
@@ -151,7 +143,7 @@ def hierarchy_flow(
     for g in range(n):
         row = []
         for e in range(n):
-            acc = zero_like(chart.potential)
+            acc = chart.potential.zero_like()
             for b in range(n):
                 coef = eta_inv[g][b]
                 if coef:

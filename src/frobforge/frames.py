@@ -144,11 +144,9 @@ class CanonicalFrame:
     psi: np.ndarray            # rows i: psi_{ia}
     mu_diag: tuple[Fraction, ...]
     v: np.ndarray              # Psi mu Psi^{-1}
-    jacobian: np.ndarray       # rows i: dt^a/du_i (idempotent components)
-    idempotents: np.ndarray    # rows i: pi_i in the flat frame
+    idempotents: np.ndarray    # rows i: pi_i in the flat frame, i.e. dt^a/du_i
     norms: np.ndarray          # <pi_i, pi_i>
     ordering: tuple[int, ...]  # permutation applied to the raw eigen order
-    psi_signs: tuple[int, ...]  # branch choices relative to principal sqrt
     defect: float = 0.0        # max |Psi^T Psi - eta|, the frame quality
 
     @property
@@ -161,13 +159,13 @@ class CanonicalFrame:
 
     @property
     def psi1(self) -> np.ndarray:
-        """Column psi_{i1}: square roots of the idempotent norms."""
-        return np.sqrt(self.norms.astype(complex)) * np.array(self.psi_signs)
+        """Column psi_{i1}: principal square roots of the idempotent norms."""
+        return np.sqrt(self.norms.astype(complex))
 
     @property
     def J(self) -> complex:
         """det(dt^a/du_i) over the frame's row order."""
-        return complex(np.linalg.det(self.jacobian))
+        return complex(np.linalg.det(self.idempotents))
 
 
 def _product(c: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -246,11 +244,9 @@ def canonical_frame(
         psi=psi,
         mu_diag=ev.mu_diag,
         v=v,
-        jacobian=idem,
         idempotents=idem,
         norms=norms,
         ordering=tuple(int(x) for x in order),
-        psi_signs=(1,) * n,
         defect=defect,
     )
 
@@ -359,9 +355,7 @@ def reorder_frame(frame: CanonicalFrame, perm: tuple[int, ...]) -> CanonicalFram
         u=frame.u[p],
         psi=frame.psi[p],
         v=frame.v[np.ix_(p, p)],
-        jacobian=frame.jacobian[p],
         idempotents=frame.idempotents[p],
         norms=frame.norms[p],
         ordering=tuple(frame.ordering[i] for i in p),
-        psi_signs=tuple(frame.psi_signs[i] for i in p),
     )

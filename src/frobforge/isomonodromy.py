@@ -270,8 +270,8 @@ def g_function(
 
     def integrand(sig: float) -> complex:
         fr = frame_at(sig)
-        # du_i/dsig from dt = jacobian^T du
-        udot = np.linalg.solve(fr.jacobian.T, dt)
+        # du_i/dsig from dt = idempotents^T du
+        udot = np.linalg.solve(fr.idempotents.T, dt)
         H = _hamiltonians(fr.u, fr.v)
         return complex(np.dot(H, udot))
 

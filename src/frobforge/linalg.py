@@ -15,14 +15,14 @@ def frac_matrix(rows: Sequence[Sequence]) -> FracMatrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def mat_mul(a: FracMatrix, b: FracMatrix) -> FracMatrix:
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list[Fraction]]:
     n, m, p = len(a), len(b), len(b[0])
     if len(a[0]) != m:
         raise AlgebraError("matrix shape mismatch")
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(m)), Fraction(0)) for j in range(p))
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(m)), Fraction(0)) for j in range(p)]
         for i in range(n)
-    )
+    ]
 
 
 def mat_transpose(a: FracMatrix) -> FracMatrix:
@@ -48,12 +48,12 @@ def mat_inverse(a: FracMatrix) -> FracMatrix:
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def poly_mat_det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """Determinant of a small matrix of polynomials by cofactor expansion."""
+def poly_mat_det(rows: Sequence[Sequence]):
+    """Determinant of a small matrix of polynomials or exponential series by
+    cofactor expansion along the first row."""
     n = len(rows)
     if n == 0:
         raise AlgebraError("empty matrix")
-    arity = rows[0][0].arity
     if n == 1:
         return rows[0][0]
 
@@ -63,7 +63,7 @@ def poly_mat_det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
             for i in range(1, len(mat))
         ]
 
-    det = MultiPoly.zero(arity)
+    det = rows[0][0].zero_like()
     for j in range(n):
         entry = rows[0][j]
         if entry.is_zero():

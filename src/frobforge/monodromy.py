@@ -39,6 +39,7 @@ from typing import Sequence
 import mpmath as mp
 
 from .errors import AlgebraError, ValidationError
+from .linalg import mat_inverse, mat_mul, mat_transpose
 from .projective import PdClassicalData, pd_classical_data, pd_stokes
 
 Matrix = list[list[Fraction]]
@@ -165,14 +166,6 @@ def _braid_k(S: Matrix, i0: int, inverse: bool) -> Matrix:
     return K
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, m, p = len(a), len(b), len(b[0])
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(m)), Fraction(0)) for j in range(p)]
-        for i in range(n)
-    ]
-
-
 def braid_move(S, i: int, inverse: bool = False) -> BraidMove:
     """The mutation matrix K^(i)(S) for the generator sigma_i (1-based)."""
     S = _as_exact(S)
@@ -194,14 +187,14 @@ def braid_act(S, C=None, i: int = 1, inverse: bool = False):
         raise ValidationError(f"generator index {i} out of range 1..{n - 1}")
     _check_stokes_shape(S)
     K = _braid_k(S, i - 1, inverse)
-    S2 = _mat_mul(_mat_mul(K, S), K)
+    S2 = mat_mul(mat_mul(K, S), K)
     C2 = None
     if C is not None:
         if isinstance(C, mp.matrix):
             Km = _to_mp_matrix(K, mp.mp.dps)
             C2 = C * Km
         elif all(isinstance(x, (int, Fraction, str)) for row in C for x in row):
-            C2 = _mat_mul(_as_exact(C), K)
+            C2 = mat_mul(_as_exact(C), K)
         else:
             rows, cols = len(C), len(C[0])
             C2 = [
@@ -233,10 +226,9 @@ def char_poly(M: Matrix) -> list[Fraction]:
     for i in range(n):
         Mk[i][i] = Fraction(1)
     for k in range(1, n + 1):
-        AM = _mat_mul(A, Mk)
-        ck = -sum(AM[i][i] for i in range(n)) / k
+        Mk = mat_mul(A, Mk)
+        ck = -sum(Mk[i][i] for i in range(n)) / k
         coeffs.append(ck)
-        Mk = [list(row) for row in AM]
         for i in range(n):
             Mk[i][i] += ck
     return coeffs
@@ -244,11 +236,8 @@ def char_poly(M: Matrix) -> list[Fraction]:
 
 def stokes_monodromy_invariant(S) -> list[Fraction]:
     """Characteristic polynomial of S^{-T} S, exact; a braid-move invariant."""
-    from .linalg import mat_inverse, mat_mul, mat_transpose
-
     Sx = tuple(tuple(Fraction(x) for x in row) for row in S)
-    M = mat_mul(mat_transpose(mat_inverse(Sx)), Sx)
-    return char_poly([list(r) for r in M])
+    return char_poly(mat_mul(mat_transpose(mat_inverse(Sx)), Sx))
 
 
 def sign_canonical(S: Matrix, C=None):

@@ -74,6 +74,18 @@ class MultiPoly:
     def monomial(cls, arity: int, exps: Sequence[int], coeff=1) -> "MultiPoly":
         return cls(arity, {tuple(exps): _as_fraction(coeff)})
 
+    # The ring interface shared with ExpSeries: callers generic over both
+    # coefficient rings build their constants from a sample element.
+
+    def zero_like(self) -> "MultiPoly":
+        return MultiPoly.zero(self.arity)
+
+    def const_like(self, value) -> "MultiPoly":
+        return MultiPoly.const(self.arity, value)
+
+    def var_like(self, index: int) -> "MultiPoly":
+        return MultiPoly.variable(self.arity, index)
+
     # -- predicates and inspection -----------------------------------------
 
     def is_zero(self) -> bool:
@@ -279,9 +291,6 @@ class MultiPoly:
             self.arity, {e: c for e, c in self.terms.items() if sum(e) > k}
         )
 
-    def map_coefficients(self, fn) -> "MultiPoly":
-        return MultiPoly(self.arity, {e: fn(c) for e, c in self.terms.items()})
-
     def weighted_scale(self, fn) -> "MultiPoly":
         """Scale each monomial by fn(exponent_tuple); drops resulting zeros."""
         return MultiPoly(
@@ -318,8 +327,3 @@ class MultiPoly:
             )
             bits.append(f"{coeff}" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
-
-
-def differentiate(p, var: int):
-    """Exact partial derivative of a polynomial or exponential series."""
-    return p.diff(var)

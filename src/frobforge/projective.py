@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .charts import FMChart
+from .charts import FMChart, wdvv_residuals
 from .errors import AlgebraError
 from .linalg import FracMatrix, frac_matrix, mat_inverse
 from .poly import MultiPoly
@@ -46,41 +46,6 @@ def _instanton_term(arity: int, trunc: int, d: int, coeff) -> ExpSeries:
     return ExpSeries(arity, T2, trunc, {d: poly})
 
 
-def _wdvv_residual_entries(eta_inv: FracMatrix, F: ExpSeries, ncoords: int):
-    """Associativity residuals of the multiplication read off F, treating only
-    the first ``ncoords`` variables as coordinates (extra variables ride along
-    as parameters).  Yields the nonzero residual series."""
-    first = [F.diff(a) for a in range(ncoords)]
-    second = [[first[a].diff(b) for b in range(a, ncoords)] for a in range(ncoords)]
-
-    def f3(a, b, c):
-        a, b, c = sorted((a, b, c))
-        return second[a][b - a].diff(c)
-
-    c_t = [[[None] * ncoords for _ in range(ncoords)] for _ in range(ncoords)]
-    for a in range(ncoords):
-        for b in range(a, ncoords):
-            for g in range(ncoords):
-                acc = None
-                for e in range(ncoords):
-                    coef = eta_inv[g][e]
-                    if coef:
-                        term = f3(a, b, e).scale(coef)
-                        acc = term if acc is None else acc + term
-                c_t[a][b][g] = acc
-                c_t[b][a][g] = acc
-    for a in range(ncoords):
-        for g in range(a + 1, ncoords):
-            for b in range(ncoords):
-                for dd in range(ncoords):
-                    acc = None
-                    for e in range(ncoords):
-                        term = c_t[a][b][e] * c_t[e][g][dd] - c_t[b][g][e] * c_t[e][a][dd]
-                        acc = term if acc is None else acc + term
-                    if not acc.is_zero():
-                        yield acc
-
-
 def instanton_numbers(max_degree: int) -> list[Fraction]:
     """Rational-curve counts N_1..N_D forced by associativity, exactly.
 
@@ -104,7 +69,8 @@ def instanton_numbers(max_degree: int) -> list[Fraction]:
         )
         candidate: Fraction | None = None
         conditions = 0
-        for residual in _wdvv_residual_entries(eta_inv, F, 3):
+        # the unknown NU rides along as a fourth variable
+        for _, residual in wdvv_residuals(F, eta_inv):
             part = residual.part(d)
             if part.is_zero():
                 continue

@@ -7,8 +7,7 @@ An ExpSeries over coordinates t^1..t^n singles out one coordinate t' (the
 
 with every p_k an exact MultiPoly in all n coordinates (polynomial
 t'-dependence inside p_k is allowed).  Products saturate at the truncation
-degree: marker degrees beyond ``trunc`` are dropped and the ``truncated``
-flag records that this happened.
+degree: marker degrees beyond ``trunc`` are dropped.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from .poly import MultiPoly
 
 
 class ExpSeries:
-    __slots__ = ("arity", "marker_var", "trunc", "parts", "truncated")
+    __slots__ = ("arity", "marker_var", "trunc", "parts")
 
     def __init__(
         self,
@@ -31,7 +30,6 @@ class ExpSeries:
         marker_var: int,
         trunc: int,
         parts: Mapping[int, MultiPoly] | None = None,
-        truncated: bool = False,
     ):
         if not 0 <= marker_var < arity:
             raise AlgebraError("marker variable index out of range")
@@ -52,7 +50,6 @@ class ExpSeries:
                 if not p.is_zero():
                     clean[k] = p
         self.parts = clean
-        self.truncated = truncated
 
     # -- constructors ---------------------------------------------------------
 
@@ -60,9 +57,22 @@ class ExpSeries:
     def from_poly(cls, p: MultiPoly, marker_var: int, trunc: int) -> "ExpSeries":
         return cls(p.arity, marker_var, trunc, {0: p})
 
-    @classmethod
-    def zero(cls, arity: int, marker_var: int, trunc: int) -> "ExpSeries":
-        return cls(arity, marker_var, trunc)
+    # The ring interface shared with MultiPoly: constants built from a sample
+    # element keep its arity, marker and truncation.
+
+    def zero_like(self) -> "ExpSeries":
+        return ExpSeries(self.arity, self.marker_var, self.trunc)
+
+    def const_like(self, value) -> "ExpSeries":
+        return ExpSeries(
+            self.arity, self.marker_var, self.trunc,
+            {0: MultiPoly.const(self.arity, value)},
+        )
+
+    def var_like(self, index: int) -> "ExpSeries":
+        return ExpSeries.from_poly(
+            MultiPoly.variable(self.arity, index), self.marker_var, self.trunc
+        )
 
     def _compatible(self, other: "ExpSeries") -> None:
         if (
@@ -79,12 +89,7 @@ class ExpSeries:
         if isinstance(other, MultiPoly):
             return ExpSeries.from_poly(other, self.marker_var, self.trunc)
         if isinstance(other, (int, Fraction)):
-            return ExpSeries(
-                self.arity,
-                self.marker_var,
-                self.trunc,
-                {0: MultiPoly.const(self.arity, other)},
-            )
+            return self.const_like(other)
         return NotImplemented
 
     # -- inspection ------------------------------------------------------------
@@ -111,17 +116,14 @@ class ExpSeries:
                 out.pop(k, None)
             else:
                 out[k] = s
-        return ExpSeries(
-            self.arity, self.marker_var, self.trunc, out,
-            self.truncated or other.truncated,
-        )
+        return ExpSeries(self.arity, self.marker_var, self.trunc, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExpSeries":
         return ExpSeries(
             self.arity, self.marker_var, self.trunc,
-            {k: -p for k, p in self.parts.items()}, self.truncated,
+            {k: -p for k, p in self.parts.items()},
         )
 
     def __sub__(self, other) -> "ExpSeries":
@@ -140,12 +142,10 @@ class ExpSeries:
         if other is NotImplemented:
             return NotImplemented
         out: dict[int, MultiPoly] = {}
-        dropped = False
         for k1, p1 in self.parts.items():
             for k2, p2 in other.parts.items():
                 k = k1 + k2
                 if k > self.trunc:
-                    dropped = True
                     continue
                 prod = p1 * p2
                 s = out.get(k, MultiPoly.zero(self.arity)) + prod
@@ -153,10 +153,7 @@ class ExpSeries:
                     out.pop(k, None)
                 else:
                     out[k] = s
-        return ExpSeries(
-            self.arity, self.marker_var, self.trunc, out,
-            self.truncated or other.truncated or dropped,
-        )
+        return ExpSeries(self.arity, self.marker_var, self.trunc, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -166,7 +163,7 @@ class ExpSeries:
     def scale(self, factor) -> "ExpSeries":
         return ExpSeries(
             self.arity, self.marker_var, self.trunc,
-            {k: p.scale(factor) for k, p in self.parts.items()}, self.truncated,
+            {k: p.scale(factor) for k, p in self.parts.items()},
         )
 
     def __eq__(self, other) -> bool:
@@ -198,7 +195,7 @@ class ExpSeries:
                 d = d + p.scale(k)
             if not d.is_zero():
                 out[k] = out.get(k, MultiPoly.zero(self.arity)) + d
-        return ExpSeries(self.arity, self.marker_var, self.trunc, out, self.truncated)
+        return ExpSeries(self.arity, self.marker_var, self.trunc, out)
 
     def integrate(self, var: int) -> "ExpSeries":
         """Antiderivative in ``var``.
@@ -229,7 +226,7 @@ class ExpSeries:
                 put(k, term.scale(sign))
                 term = term.diff(var).scale(Fraction(1, k))
                 sign = -sign
-        return ExpSeries(self.arity, self.marker_var, self.trunc, out, self.truncated)
+        return ExpSeries(self.arity, self.marker_var, self.trunc, out)
 
     # -- substitution and evaluation -------------------------------------------------
 
@@ -238,40 +235,19 @@ class ExpSeries:
         if var != self.marker_var:
             return ExpSeries(
                 self.arity, self.marker_var, self.trunc,
-                {k: p.subs_zero(var) for k, p in self.parts.items()}, self.truncated,
+                {k: p.subs_zero(var) for k, p in self.parts.items()},
             )
         total = MultiPoly.zero(self.arity)
         for _, p in self.parts.items():
             total = total + p.subs_zero(var)
-        return ExpSeries(
-            self.arity, self.marker_var, self.trunc, {0: total}, self.truncated
-        )
+        return ExpSeries(self.arity, self.marker_var, self.trunc, {0: total})
 
-    def with_trunc(self, trunc: int) -> "ExpSeries":
-        """Re-truncate; lowering the degree drops markers and flags it."""
-        kept = {k: p for k, p in self.parts.items() if k <= trunc}
-        dropped = len(kept) != len(self.parts)
-        return ExpSeries(
-            self.arity, self.marker_var, trunc, kept, self.truncated or dropped
-        )
-
-    def map_parts(self, fn) -> "ExpSeries":
-        """Apply fn to every polynomial part (e.g. arity changes)."""
-        return ExpSeries(
-            fn(self.part(0)).arity, self.marker_var, self.trunc,
-            {k: fn(p) for k, p in self.parts.items()}, self.truncated,
-        )
-
-    def drop_affine(self) -> "ExpSeries":
-        """Remove constant and linear monomials of the marker-0 part."""
+    def drop_degree_at_most(self, k: int) -> "ExpSeries":
+        """Remove monomials of total degree <= k from the marker-0 part."""
         out = dict(self.parts)
         if 0 in out:
-            p = out[0].drop_degree_at_most(1)
-            if p.is_zero():
-                out.pop(0)
-            else:
-                out[0] = p
-        return ExpSeries(self.arity, self.marker_var, self.trunc, out, self.truncated)
+            out[0] = out[0].drop_degree_at_most(k)  # a zero part is dropped on construction
+        return ExpSeries(self.arity, self.marker_var, self.trunc, out)
 
     def evaluate(self, point: Sequence) -> complex:
         t_marker = complex(point[self.marker_var])

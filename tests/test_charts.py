@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from frobforge.charts import (
@@ -18,6 +19,8 @@ from frobforge.deformed import (
 from frobforge.errors import AlgebraError, ValidationError
 from frobforge.linalg import frac_matrix
 from frobforge.poly import MultiPoly
+from frobforge.projective import build_p2_chart
+from frobforge.unfolding import build_an_chart
 
 
 def mk(arity, terms):
@@ -162,6 +165,25 @@ def test_intersection_form_reduces_to_eta_inverse_at_unity_point():
     for a in range(2):
         for b in range(2):
             assert g.entries[a][b].evaluate(point) == eta_inv[a][b]
+
+
+@pytest.mark.parametrize("build, re_t2", [
+    pytest.param(lambda: build_an_chart(3), 0.0, id="A3"),
+    # on P^2 the marker terms of degree > 3 dropped by the truncation are
+    # below double precision only far down the t2 axis
+    pytest.param(lambda: build_p2_chart(3), -6.0, id="P2@3"),
+])
+def test_intersection_form_determinant_matches_numeric(build, re_t2):
+    chart = build()
+    g = intersection_form(chart)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        t = rng.normal(size=chart.n) * 0.5 + 1j * rng.normal(size=chart.n) * 0.5
+        t[1] += re_t2
+        entries = np.array([[complex(e.evaluate(list(t))) for e in row] for row in g.entries])
+        expect = np.linalg.det(entries)
+        got = complex(g.determinant.evaluate(list(t)))
+        assert abs(got - expect) <= 1e-10 * abs(expect)
 
 
 def test_deformed_flat_theta0_and_theta1():

@@ -116,8 +116,8 @@ def test_jacobian_matches_finite_differences():
         up = canonical_frame(ev, tp).u
         um = canonical_frame(ev, tm).u
         num[:, a] = (up - um) / (2 * h)
-    # fr.jacobian rows are dt^a/du_i; its inverse transposed gives du/dt
-    inv = np.linalg.inv(fr.jacobian)
+    # fr.idempotents rows are dt^a/du_i; its inverse transposed gives du/dt
+    inv = np.linalg.inv(fr.idempotents)
     assert np.max(np.abs(inv.T - num)) < 1e-6
 
 

@@ -212,6 +212,17 @@ def test_cli_error_paths(tmp_path, capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["an-build", "--n", "0"],
+    ["qh-p2", "--degree", "-1"],
+])
+def test_cli_algebra_error_exit_code(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("algebra-error: ")
+    assert "Traceback" not in err
+
+
 def test_python_m_frobforge_runs_the_cli():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
