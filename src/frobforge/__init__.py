@@ -53,7 +53,6 @@ from .isomonodromy import (
 from .laurent import (
     LaurentTail,
     UPoly,
-    puiseux_root_expansion,
     residue_at_infinity,
     sylvester_resultant,
 )

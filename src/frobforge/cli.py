@@ -196,6 +196,7 @@ def _cmd_gfunction(args):
         "d_log_tau": ser.complex_to_json(gv.d_log_tau),
         "d_log_j": ser.complex_to_json(gv.d_log_j),
         "delta_g": ser.complex_to_json(gv.delta_g),
+        **{key: getattr(gv, key) for key in ("level", "j_level", "frames", "max_defect")},
     }
     _emit(obj, args.out)
     return 0

@@ -58,9 +58,6 @@ class UPoly:
             {d - 1: c.scale(d) for d, c in self.coeffs.items() if d > 0},
         )
 
-    def diff_param(self, var: int) -> "UPoly":
-        return UPoly(self.arity, {d: c.diff(var) for d, c in self.coeffs.items()})
-
     def __add__(self, other: "UPoly") -> "UPoly":
         out = dict(self.coeffs)
         for d, c in other.coeffs.items():
@@ -81,29 +78,6 @@ class UPoly:
 
     def as_tail(self) -> "LaurentTail":
         return LaurentTail(self.arity, dict(self.coeffs), None)
-
-    def evaluate_at_tail(self, x: "LaurentTail", floor: int) -> "LaurentTail":
-        """Substitute a Laurent tail for x, keeping exponents >= floor.
-
-        Intermediate products run with extra depth so that the truncation
-        stamped on partial powers never eats into the requested window."""
-        work_floor = floor - max(self.degree, 0)
-        result = LaurentTail(self.arity, {}, None)
-        powers: dict[int, LaurentTail] = {0: LaurentTail.one(self.arity)}
-
-        def x_power(k: int) -> LaurentTail:
-            if k not in powers:
-                kk = max(powers)
-                acc = powers[kk]
-                while kk < k:
-                    acc = acc.mul(x, work_floor)
-                    kk += 1
-                    powers[kk] = acc
-            return powers[k]
-
-        for d, c in sorted(self.coeffs.items()):
-            result = result.add(x_power(d).scale_poly(c))
-        return result.truncate(floor)
 
 
 class LaurentTail:
@@ -131,10 +105,6 @@ class LaurentTail:
     def one(cls, arity: int) -> "LaurentTail":
         return cls(arity, {0: MultiPoly.const(arity, 1)}, None)
 
-    @classmethod
-    def x_power(cls, arity: int, k: int) -> "LaurentTail":
-        return cls(arity, {k: MultiPoly.const(arity, 1)}, None)
-
     @property
     def top(self) -> int | None:
         return max(self.coeffs) if self.coeffs else None
@@ -145,16 +115,6 @@ class LaurentTail:
                 f"coefficient of x^{e} lies below truncation order {self.min_exp}"
             )
         return self.coeffs.get(e, MultiPoly.zero(self.arity))
-
-    def truncate(self, floor: int | None) -> "LaurentTail":
-        if floor is None:
-            return self
-        new_min = floor if self.min_exp is None else max(floor, self.min_exp)
-        return LaurentTail(
-            self.arity,
-            {e: c for e, c in self.coeffs.items() if e >= new_min},
-            new_min,
-        )
 
     def add(self, other: "LaurentTail") -> "LaurentTail":
         if self.min_exp is None:
@@ -167,11 +127,6 @@ class LaurentTail:
         for e, c in other.coeffs.items():
             out[e] = out.get(e, MultiPoly.zero(self.arity)) + c
         return LaurentTail(self.arity, out, m)
-
-    def scale_poly(self, factor: MultiPoly) -> "LaurentTail":
-        return LaurentTail(
-            self.arity, {e: c * factor for e, c in self.coeffs.items()}, self.min_exp
-        )
 
     def scale(self, factor) -> "LaurentTail":
         return LaurentTail(
@@ -239,12 +194,11 @@ def invert_at_infinity(den: UPoly, floor: int) -> LaurentTail:
         if not term.coeffs:
             break
         series = series.add(term)
-    out = LaurentTail(
+    return LaurentTail(
         den.arity,
         {e - m: c.scale(lead_inv) for e, c in series.coeffs.items()},
         floor,
     )
-    return out
 
 
 def expand_ratio(num: UPoly, den: UPoly, floor: int) -> LaurentTail:
@@ -299,29 +253,47 @@ def sylvester_resultant(f: UPoly, g: UPoly) -> MultiPoly:
     return poly_mat_det(rows)
 
 
-def puiseux_root_expansion(f: UPoly, order: int) -> LaurentTail:
+def lagrange_root_expansion(f: UPoly, order: int) -> LaurentTail:
     """Solve k^m = f(x) for x as a descending expansion in k.
 
     For monic f of degree m >= 2 returns
         x(k) = k + c_0 + c_1/k + ... + c_{order-1}/k^{order-1}
     with exact parameter-polynomial coefficients, such that
-    f(x(k)) = k^m + O(k^{m-order-1}).
+    f(x(k)) = k^m + O(k^{m-order-1}).  With f = x^m (1 + g(y)) and y = 1/x,
+    Lagrange inversion of k = x (1 + g)^{1/m} gives each coefficient as one
+    residue: c_0 = -[y^1] (1 + g)^{1/m} and c_j = -(1/j) [y^{j+1}] (1 + g)^{j/m}.
     """
     m = f.degree
     if m < 2:
         raise AlgebraError("need degree >= 2")
     lead = f.leading_coefficient()
     if not (lead.is_constant() and lead.constant_term() == 1):
-        raise AlgebraError("puiseux_root_expansion requires a monic polynomial")
+        raise AlgebraError("lagrange_root_expansion requires a monic polynomial")
     if order < 1:
         raise AlgebraError("order must be >= 1")
-    arity = f.arity
-    floor = -(order + m)  # working depth with margin
-    x = LaurentTail.x_power(arity, 1)
+    g = {m - d: c for d, c in f.coeffs.items() if d != m}  # g(y) = sum_k g[k] y^k
+    coeffs = {1: MultiPoly.const(f.arity, 1)}
     for j in range(order):
-        fx = f.evaluate_at_tail(x, floor)
-        residual = fx.coefficient(m - 1 - j)
-        cj = residual.scale(Fraction(-1, m))
-        if not cj.is_zero():
-            x = x.add(LaurentTail(arity, {-j: cj}, None))
-    return x.truncate(-(order - 1))
+        w = j or 1  # c_0 reads the 1/m power, like c_1
+        top = _binomial_power_coefficient(g, Fraction(w, m), j + 1, f.arity)
+        coeffs[-j] = top.scale(Fraction(-1, w))
+    return LaurentTail(f.arity, coeffs, -(order - 1))
+
+
+def _binomial_power_coefficient(
+    g: Mapping[int, MultiPoly], beta: Fraction, degree: int, arity: int
+) -> MultiPoly:
+    """[y^degree] (1 + sum_k g[k] y^k)^beta by J. C. P. Miller's recurrence
+
+        P_0 = 1,  P_i = (1/i) sum_k (beta k - (i - k)) g[k] P_{i-k}
+
+    (Knuth, TAOCP vol. 2, section 4.7)."""
+    powers = [MultiPoly.const(arity, 1)]
+    for i in range(1, degree + 1):
+        acc = MultiPoly.zero(arity)
+        for k, gk in g.items():
+            weight = beta * k - (i - k)
+            if k <= i and weight:
+                acc = acc + gk.scale(weight) * powers[i - k]
+        powers.append(acc.scale(Fraction(1, i)))
+    return powers[degree]

@@ -11,6 +11,8 @@ Rational values throughout the package are plain ``fractions.Fraction``
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
@@ -19,6 +21,15 @@ from .errors import AlgebraError
 Rational = Fraction
 
 Exponent = tuple[int, ...]
+
+
+def _packed_integer_terms(terms: Mapping[Exponent, Fraction], place: Sequence[int]):
+    """(lcm of the denominators, [(packed exponent key, numerator over it)])."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, [
+        (sum(map(operator.mul, exps, place)), c.numerator * (den // c.denominator))
+        for exps, c in terms.items()
+    ]
 
 
 def _as_fraction(x) -> Fraction:
@@ -45,8 +56,8 @@ class MultiPoly:
             for exps, coeff in terms.items():
                 if len(exps) != arity:
                     raise AlgebraError(f"exponent vector {exps} has length != {arity}")
-                if any(e < 0 for e in exps):
-                    raise AlgebraError(f"negative exponent in {exps}")
+                if any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in exps):
+                    raise AlgebraError(f"exponents must be non-negative integers: {exps}")
                 c = _as_fraction(coeff)
                 if c != 0:
                     clean[tuple(exps)] = c
@@ -150,21 +161,29 @@ class MultiPoly:
             return NotImplemented
         if self.arity != other.arity:
             raise AlgebraError("arity mismatch in product")
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return self._raw(self.arity, out)
+        if not (self.terms and other.terms):
+            return MultiPoly.zero(self.arity)
+        if not self.arity:
+            return self._raw(0, {(): self.terms[()] * other.terms[()]})
+        # integer numerators over one denominator per factor on exponents packed
+        # into one int, in a base no exponent sum reaches, so keys add without
+        # carries (Kronecker substitution; Monagan & Pearce, Maple 14, 2009)
+        base = 1 + max(map(max, self.terms)) + max(map(max, other.terms))
+        place = [base**i for i in range(self.arity)]
+        den_a, left = _packed_integer_terms(self.terms, place)
+        den_b, right = _packed_integer_terms(other.terms, place)
+        acc: dict[int, int] = {}
+        get = acc.get
+        for ka, na in left:
+            for kb, nb in right:
+                k = ka + kb
+                acc[k] = get(k, 0) + na * nb
+        den = den_a * den_b
+        return self._raw(self.arity, {
+            tuple([k // p % base for p in place]): Fraction(v, den) for k, v in acc.items() if v
+        })
 
-    def __rmul__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def scale(self, factor) -> "MultiPoly":
         f = _as_fraction(factor)

@@ -23,7 +23,7 @@ def frac_to_str(x: Fraction) -> str:
 
 
 def frac_from_str(s) -> Fraction:
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise ValidationError(f"expected exact rational string, got {type(s).__name__}")
@@ -73,16 +73,35 @@ def poly_to_json(p: MultiPoly) -> dict:
     }
 
 
+def _int_from_json(value, what: str, minimum: int) -> int:
+    """A JSON integer >= minimum; bools and floats are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValidationError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _terms_from_json(obj, arity: int):
+    """Yield (entry, exponent tuple, coefficient) for each term object."""
+    terms = obj["terms"]
+    if not isinstance(terms, list):
+        raise ValidationError(f"'terms' must be a list, got {type(terms).__name__}")
+    for t in terms:
+        if not isinstance(t, dict) or "coeff" not in t or "exps" not in t:
+            raise ValidationError(f"term {t!r} must be an object with 'coeff' and 'exps'")
+        exps = t["exps"]
+        if not isinstance(exps, list) or len(exps) != arity:
+            raise ValidationError(f"exponent vector {exps!r} does not match arity {arity}")
+        exps = tuple(_int_from_json(e, "exponent", 0) for e in exps)
+        yield t, exps, frac_from_str(t["coeff"])
+
+
 def poly_from_json(obj) -> MultiPoly:
     if not isinstance(obj, dict) or "arity" not in obj or "terms" not in obj:
         raise ValidationError("polynomial JSON needs 'arity' and 'terms'")
-    arity = obj["arity"]
+    arity = _int_from_json(obj["arity"], "arity", 0)
     terms = {}
-    for t in obj["terms"]:
-        exps = tuple(int(x) for x in t["exps"])
-        if len(exps) != arity:
-            raise ValidationError(f"exponent vector {exps} does not match arity {arity}")
-        terms[exps] = terms.get(exps, Fraction(0)) + frac_from_str(t["coeff"])
+    for _, exps, coeff in _terms_from_json(obj, arity):
+        terms[exps] = terms.get(exps, Fraction(0)) + coeff
     return MultiPoly(arity, terms)
 
 
@@ -100,22 +119,18 @@ def series_to_json(s: ExpSeries) -> dict:
 
 
 def series_from_json(obj) -> ExpSeries:
-    for key in ("arity", "marker_var", "trunc", "terms"):
-        if key not in obj:
-            raise ValidationError(f"series JSON needs {key!r}")
-    arity = obj["arity"]
+    keys = ("arity", "marker_var", "trunc", "terms")
+    if not isinstance(obj, dict) or any(key not in obj for key in keys):
+        raise ValidationError(f"series JSON needs {', '.join(keys)}")
+    arity = _int_from_json(obj["arity"], "arity", 1)
     parts: dict[int, dict] = {}
-    for t in obj["terms"]:
-        k = int(t.get("marker", 0))
-        exps = tuple(int(x) for x in t["exps"])
-        if len(exps) != arity:
-            raise ValidationError(f"exponent vector {exps} does not match arity {arity}")
-        bucket = parts.setdefault(k, {})
-        bucket[exps] = bucket.get(exps, Fraction(0)) + frac_from_str(t["coeff"])
+    for t, exps, coeff in _terms_from_json(obj, arity):
+        bucket = parts.setdefault(_int_from_json(t.get("marker", 0), "marker", 0), {})
+        bucket[exps] = bucket.get(exps, Fraction(0)) + coeff
     return ExpSeries(
         arity,
-        int(obj["marker_var"]),
-        int(obj["trunc"]),
+        _int_from_json(obj["marker_var"], "marker_var", 0),
+        _int_from_json(obj["trunc"], "trunc", 0),
         {k: MultiPoly(arity, d) for k, d in parts.items()},
     )
 
@@ -151,16 +166,17 @@ def chart_from_json(obj) -> FMChart:
         if key not in obj:
             raise ValidationError(f"chart JSON is missing {key!r}")
     euler = obj["euler"]
-    if not isinstance(euler, dict) or "linear" not in euler or "const" not in euler:
-        raise ValidationError("chart euler field needs 'linear' and 'const'")
+    if not (isinstance(euler, dict) and "linear" in euler
+            and isinstance(euler.get("const"), list)):
+        raise ValidationError("chart euler field needs 'linear' and a 'const' list")
     return FMChart(
-        n=int(obj["n"]),
+        n=_int_from_json(obj["n"], "n", 1),
         eta=frac_matrix_from_json(obj["eta"], "eta"),
         potential=potential_from_json(obj["potential"]),
         euler_linear=frac_matrix_from_json(euler["linear"], "euler.linear"),
         euler_const=tuple(frac_from_str(x) for x in euler["const"]),
         charge_d=frac_from_str(obj["charge_d"]),
-        unity_index=int(obj.get("unity_index", 1)),
+        unity_index=_int_from_json(obj.get("unity_index", 1), "unity_index", 1),
     )
 
 

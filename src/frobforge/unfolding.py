@@ -5,11 +5,12 @@ The flat pairing and the multiplication come from residues at infinity,
     <d_i, d_j>      = -(n+1) res  (df/ds_i)(df/ds_j) / f'
     <d_i . d_j, d_k> = -(n+1) res  (df/ds_i)(df/ds_j)(df/ds_k) / f',
 
-which are exact polynomials in s.  Flat coordinates are read off the
-expansion x(k) = k - a_1/k - ... solving k^{n+1} = f_s(x): the rescaled
-coefficients t = (n+1) a, listed in reverse so the unity direction comes
-first, make the pairing the constant antidiagonal matrix.  The potential is
-recovered from the structure constants by exact triple integration.
+which are exact polynomials in s.  Flat coordinates are the residues
+t_j ∝ res f^{j/(n+1)} dx (Dubrovin, Lecture 4; K. Saito): with y = 1/x and
+f = x^{n+1} (1 + g(y)), t_j = ((n+1)/j) [y^{j+1}] (1 + g)^{j/(n+1)}.  Listed in
+reverse so the unity direction comes first, they make the pairing the constant
+antidiagonal matrix.  The potential is recovered from the structure constants
+by exact triple integration.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import mpmath as mp
 
 from .charts import FMChart
 from .errors import AlgebraError, NumericError
-from .laurent import UPoly, puiseux_root_expansion, residue_at_infinity
+from .laurent import UPoly, lagrange_root_expansion, residue_at_infinity
 from .linalg import frac_matrix, poly_mat_det
 from .poly import MultiPoly
 
@@ -100,21 +101,18 @@ class FlatCoordinateMap:
 
 def flat_coordinates(unf: Unfolding) -> FlatCoordinateMap:
     n = unf.n
-    x = puiseux_root_expansion(unf.f, n + 1)
-    # x = k + c_0 + c_1/k + ...; flat data sits in a_j = -c_j, j = 1..n
-    a = [-x.coefficient(-j) for j in range(1, n + 1)]
-    t_old = [aj.scale(n + 1) for aj in a]  # t_old[j-1] corresponds to s_j
+    x = lagrange_root_expansion(unf.f, n + 1)
+    # x = k + c_1/k + ..., c_j = -(1/j) [y^{j+1}] (1 + g)^{j/(n+1)}, so the
+    # flat coordinate t_old_j = -(n+1) c_j
+    t_old = [x.coefficient(-j).scale(-(n + 1)) for j in range(1, n + 1)]
 
     # invert the triangular system t_old_j = s_j + h_j(s_1..s_{j-1});
     # variables of the result are the reversed (unity-first) t coordinates,
-    # t_new^b = t_old_{n+1-b}.
-    def t_new_var(old_j: int) -> MultiPoly:
-        return MultiPoly.variable(n, n - old_j)  # 0-based position of t_new^{n+1-j}
-
+    # t_new^b = t_old_{n+1-b}, so t_old_j is variable n - j (0-based).
     s_of_t: list[MultiPoly] = []
     for j in range(1, n + 1):
         h = t_old[j - 1] - MultiPoly.variable(n, j - 1)  # h_j(s_1..s_{j-1})
-        expr = t_new_var(j) - h.compose(s_of_t + [MultiPoly.zero(n)] * (n - j + 1))
+        expr = MultiPoly.variable(n, n - j) - h.compose(s_of_t + [MultiPoly.zero(n)] * (n - j + 1))
         s_of_t.append(expr)
 
     t_of_s = tuple(t_old[n - b] for b in range(1, n + 1))  # t_new^b in terms of s
@@ -123,7 +121,7 @@ def flat_coordinates(unf: Unfolding) -> FlatCoordinateMap:
         if t_of_s[b].compose(s_of_t) != MultiPoly.variable(n, b):
             raise AlgebraError("flat coordinate inversion failed")
 
-    pairing_s = residue_pairing(unf)
+    g_t = [[g.compose(s_of_t) for g in row] for row in residue_pairing(unf)]
     jac_s = [[s_of_t[i].diff(al) for al in range(n)] for i in range(n)]  # ds_i/dt^a
     eta_rows = []
     for al in range(n):
@@ -132,10 +130,8 @@ def flat_coordinates(unf: Unfolding) -> FlatCoordinateMap:
             acc = MultiPoly.zero(n)
             for i in range(n):
                 for j in range(n):
-                    gij = pairing_s[i][j]
-                    if gij.is_zero():
-                        continue
-                    acc = acc + jac_s[i][al] * jac_s[j][be] * gij.compose(list(s_of_t))
+                    if not g_t[i][j].is_zero():
+                        acc = acc + jac_s[i][al] * jac_s[j][be] * g_t[i][j]
             if not acc.is_constant():
                 raise AlgebraError(
                     f"pairing entry ({al + 1},{be + 1}) did not become constant: {acc}"
@@ -170,41 +166,34 @@ def build_an_chart(n: int, verify: bool = True) -> FMChart:
 
     # push the triple tensor through the coordinate change
     B = [[fc.s_of_t[i].diff(al) for al in range(n)] for i in range(n)]  # ds_i/dt^a
-    c_sub = {
-        key: val.compose(list(fc.s_of_t)) for key, val in triple.items()
-    }
-    # contract one index at a time: O(n^4) polynomial products
-    d1 = {}
-    for j in range(1, n + 1):
-        for k in range(j, n + 1):
-            for al in range(n):
-                acc = MultiPoly.zero(n)
-                for i in range(1, n + 1):
-                    cij = triple_entry(c_sub, i, j, k)
-                    if not (cij.is_zero() or B[i - 1][al].is_zero()):
-                        acc = acc + B[i - 1][al] * cij
-                d1[(al, j, k)] = acc
-    d2 = {}
-    for k in range(1, n + 1):
-        for al in range(n):
-            for be in range(n):
-                acc = MultiPoly.zero(n)
-                for j in range(1, n + 1):
-                    key = (al, j, k) if j <= k else (al, k, j)
-                    val = d1[key]
-                    if not (val.is_zero() or B[j - 1][be].is_zero()):
-                        acc = acc + B[j - 1][be] * val
-                d2[(al, be, k)] = acc
-    c_t = {}
-    for al in range(n):
-        for be in range(al, n):
-            for ga in range(be, n):
-                acc = MultiPoly.zero(n)
-                for k in range(1, n + 1):
-                    val = d2[(al, be, k)]
-                    if not (val.is_zero() or B[k - 1][ga].is_zero()):
-                        acc = acc + B[k - 1][ga] * val
-                c_t[(al, be, ga)] = acc
+    c_sub = {key: val.compose(list(fc.s_of_t)) for key, val in triple.items()}
+
+    def contract(entry, keys):
+        """{key: sum_m B[m][key[-1]] entry(m, *key[:-1])}: one index at a time
+        keeps the push-forward at O(n^4) polynomial products."""
+        out = {}
+        for key in keys:
+            acc = MultiPoly.zero(n)
+            for m in range(n):
+                val, b = entry(m, *key[:-1]), B[m][key[-1]]
+                if not (val.is_zero() or b.is_zero()):
+                    acc = acc + b * val
+            out[key] = acc
+        return out
+
+    ordered = [(j, k) for j in range(n) for k in range(j, n)]
+    d1 = contract(
+        lambda i, j, k: triple_entry(c_sub, i + 1, j + 1, k + 1),
+        [(j, k, al) for j, k in ordered for al in range(n)],
+    )
+    d2 = contract(
+        lambda j, k, al: d1[(min(j, k), max(j, k), al)],
+        [(k, al, be) for k in range(n) for al in range(n) for be in range(n)],
+    )
+    c_t = contract(
+        lambda k, al, be: d2[(k, al, be)],
+        [(al, be, ga) for al, be in ordered for ga in range(be, n)],
+    )
 
     def c_entry(al, be, ga):
         return c_t[tuple(sorted((al, be, ga)))]

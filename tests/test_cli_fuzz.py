@@ -1,0 +1,92 @@
+"""Mutation fuzzing of chart JSON through the CLI.
+
+Every input must end in a documented exit code, and every non-zero exit in a
+prefixed diagnostic on stderr: never an uncaught exception.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from frobforge.cli import main
+from frobforge.serialize import chart_to_json
+from frobforge.unfolding import build_an_chart
+
+A3 = chart_to_json(build_an_chart(3))
+
+PREFIXES = ("usage-error: ", "schema-error: ", "algebra-error: ", "numeric-error: ")
+
+# where a mutation lands: the top level and inside potential.terms, eta, euler
+PATHS = [
+    ("n",), ("eta",), ("charge_d",), ("unity_index",), ("potential",), ("euler",),
+    ("potential", "arity"), ("potential", "terms"),
+    ("potential", "terms", 0), ("potential", "terms", 0, "coeff"),
+    ("potential", "terms", 0, "exps"), ("potential", "terms", 0, "exps", 1),
+    ("eta", 0), ("eta", 0, 2), ("eta", 1, 1),
+    ("euler", "linear"), ("euler", "linear", 0), ("euler", "linear", 2, 2),
+    ("euler", "const"), ("euler", "const", 1),
+]
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 7)
+    | st.floats(allow_nan=False, allow_infinity=False, width=32)
+    | st.sampled_from(["0", "1", "-1/2", "3/0", "x", "", "1+2j"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["coeff", "exps", "re", "im", "a"]), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def mutated(path, value, delete):
+    blob = copy.deepcopy(A3)
+    node = blob
+    for key in path[:-1]:
+        node = node[key]
+    if delete:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return blob
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PATHS), json_values, st.booleans())
+@example(("potential", "terms", 0, "exps"), [0.5, 0, 1], False)
+@example(("potential", "terms", 0, "exps"), [True, 0, 1], False)
+@example(("potential", "terms", 0), ["1", [0, 0, 3]], False)
+@example(("potential", "terms"), None, False)
+@example(("potential", "terms"), {"coeff": "1", "exps": [0, 0, 3]}, False)
+@example(("potential", "arity"), True, False)
+@example(("n",), "3", False)
+@example(("unity_index",), None, False)
+@example(("euler", "const"), 7, False)
+@example(("eta", 1, 1), "1", False)
+def test_mutated_chart_gives_documented_exit(path, value, delete):
+    blob = mutated(path, value, delete)
+    with tempfile.TemporaryDirectory() as tmp:
+        chart_path = os.path.join(tmp, "chart.json")
+        with open(chart_path, "w") as fh:
+            json.dump(blob, fh)
+        for argv in (
+            ["wdvv-check", "--chart", chart_path],
+            ["canonical", "--chart", chart_path, "--t", "0.2,0.4,1.1"],
+        ):
+            code, err = run_cli(argv)
+            assert code in (0, 1, 2), (argv, code)
+            if code:
+                assert err.startswith(PREFIXES), (argv, err)

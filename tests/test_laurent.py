@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from frobforge.errors import AlgebraError
 from frobforge.laurent import (
     UPoly,
+    LaurentTail,
     expand_ratio,
-    puiseux_root_expansion,
+    lagrange_root_expansion,
     residue_at_infinity,
     sylvester_resultant,
 )
@@ -79,7 +80,7 @@ def test_long_division_oracle():
 
 def test_puiseux_square():
     f = upoly({2: 1})
-    tail = puiseux_root_expansion(f, 1)
+    tail = lagrange_root_expansion(f, 1)
     assert tail.coefficient(1) == ONE
     assert tail.coefficient(0).is_zero()
 
@@ -87,7 +88,7 @@ def test_puiseux_square():
 def test_puiseux_square_plus_parameter():
     s = MultiPoly.variable(1, 0)
     f = UPoly(1, {2: MultiPoly.const(1, 1), 0: s})
-    tail = puiseux_root_expansion(f, 2)
+    tail = lagrange_root_expansion(f, 2)
     assert tail.coefficient(-1) == s.scale(Fraction(-1, 2))
     assert tail.coefficient(0).is_zero()
 
@@ -96,32 +97,37 @@ def test_puiseux_cubic():
     s1 = MultiPoly.variable(2, 0)
     s2 = MultiPoly.variable(2, 1)
     f = UPoly(2, {3: MultiPoly.const(2, 1), 1: s1, 0: s2})
-    tail = puiseux_root_expansion(f, 3)
+    tail = lagrange_root_expansion(f, 3)
     assert tail.coefficient(-1) == s1.scale(Fraction(-1, 3))
     assert tail.coefficient(-2) == s2.scale(Fraction(-1, 3))
 
 
 def test_puiseux_reproduces_power():
-    # composing the truncated expansion (as an exact Laurent polynomial) back
-    # into f returns k^m exactly, down to the stated remainder order
-    from frobforge.laurent import LaurentTail
-
+    # substituting the truncated expansion back into f by repeated products
+    # returns k^m exactly, down to the stated remainder order
     s1 = MultiPoly.variable(2, 0)
     s2 = MultiPoly.variable(2, 1)
     f = UPoly(2, {4: MultiPoly.const(2, 1), 2: s1, 0: s2})
     order = 5
-    tail = puiseux_root_expansion(f, order)
-    exact = LaurentTail(2, dict(tail.coeffs), None)
-    fx = f.evaluate_at_tail(exact, 4 - order - 1)
+    x = lagrange_root_expansion(f, order)
+    fx = LaurentTail(2, {}, None)
+    power = LaurentTail.one(2)
+    for d in range(f.degree + 1):
+        if d in f.coeffs:
+            fx = fx.add(LaurentTail(2, {0: f.coeffs[d]}, None).mul(power))
+        power = power.mul(x)
     for e in range(4 - order, 5):
         expect = MultiPoly.const(2, 1) if e == 4 else MultiPoly.zero(2)
         assert fx.coefficient(e) == expect, e
+    # one order further the truncation is honest: that coefficient is unknown
+    with pytest.raises(AlgebraError):
+        fx.coefficient(4 - order - 1)
 
 
 def test_puiseux_rejects_nonmonic():
     f = upoly({2: 2})
     with pytest.raises(AlgebraError):
-        puiseux_root_expansion(f, 2)
+        lagrange_root_expansion(f, 2)
 
 
 def test_resultant_discriminant_of_depressed_cubic():

@@ -40,6 +40,12 @@ def test_constructor_rejects_bad_exponents():
         MultiPoly(2, {(-1, 0): Fraction(1)})
 
 
+def test_constructor_rejects_non_integer_exponents():
+    for exps in ((0.5, 1), (True, 0), (1, "2"), (1.0, 0)):
+        with pytest.raises(AlgebraError):
+            MultiPoly(2, {exps: Fraction(1)})
+
+
 def test_arithmetic_basics():
     x = MultiPoly.variable(2, 0)
     y = MultiPoly.variable(2, 1)
@@ -101,3 +107,67 @@ def test_degree_helpers():
     assert p.degree_in(0) == 2
     assert p.drop_degree_at_most(3) == mk(2, {(0, 4): 1})
     assert MultiPoly.zero(2).total_degree() == -1
+
+
+# -- the product against a plain Fraction double loop ---------------------------
+
+def plain_product(p, q):
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+wide_coeffs = st.builds(
+    Fraction,
+    st.integers(-(10**20), 10**20),
+    st.integers(-(10**15), 10**15).filter(bool),
+)
+
+
+@st.composite
+def product_pairs(draw):
+    """Two factors of one arity (0-4), each with its own exponent range, so
+    exponents fall on both sides of the base the other factor alone would
+    need; sizes start at the empty polynomial."""
+    arity = draw(st.integers(0, 4))
+
+    def factor():
+        top = draw(st.sampled_from([0, 1, 3, 9, 255, 256, 10**6, 2**70]))
+        exps = st.tuples(*[st.integers(0, top)] * arity)
+        return MultiPoly(arity, draw(st.dictionaries(exps, wide_coeffs, max_size=6)))
+
+    return factor(), factor()
+
+
+@given(product_pairs())
+@settings(max_examples=300)
+def test_product_matches_plain_double_loop(pair):
+    p, q = pair
+    got = p * q
+    assert got.arity == p.arity
+    assert got.terms == plain_product(p, q)
+    assert all(type(c) is Fraction and c != 0 for c in got.terms.values())
+    assert all(type(e) is int for exps in got.terms for e in exps)
+    assert (q * p).terms == got.terms
+
+
+def test_product_cancellation_stores_no_zero():
+    x = MultiPoly.variable(1, 0)
+    got = (x + 1) * (x - 1)
+    assert got.terms == {(2,): Fraction(1), (0,): Fraction(-1)}
+    y = MultiPoly.variable(2, 1)
+    half = MultiPoly.const(2, Fraction(1, 2))
+    assert ((y + half) * (y - half) - y * y + Fraction(1, 4)).terms == {}
+
+
+def test_product_empty_and_arity_zero():
+    a = MultiPoly.const(0, Fraction(-3, 4))
+    b = MultiPoly.const(0, Fraction(8, 9))
+    assert (a * b).terms == {(): Fraction(-2, 3)}
+    assert (a * MultiPoly.zero(0)).terms == {}
+    p = mk(2, {(3, 1): Fraction(5, 7)})
+    assert (p * MultiPoly.zero(2)).terms == {}
+    assert (MultiPoly.zero(2) * p).terms == {}

@@ -61,6 +61,35 @@ def test_chart_round_trip_exact():
         assert json.dumps(chart_to_json(back)) == blob
 
 
+@pytest.mark.parametrize("terms", [
+    [{"coeff": "1", "exps": [0.5, 0, 1]}],
+    [{"coeff": "1", "exps": [True, 0, 1]}],
+    [{"coeff": "1", "exps": [-1, 0, 1]}],
+    [{"coeff": True, "exps": [0, 0, 1]}],
+    [["1", [0, 0, 3]]],
+    [{"coeff": "1"}],
+    None,
+    {"coeff": "1", "exps": [0, 0, 3]},
+])
+def test_malformed_terms_rejected(terms):
+    with pytest.raises(ValidationError):
+        poly_from_json({"arity": 3, "terms": terms})
+    blob = series_to_json(build_p2_chart(2).potential)
+    blob["terms"] = terms
+    with pytest.raises(ValidationError):
+        series_from_json(blob)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("arity", True), ("arity", 3.0), ("marker_var", "1"), ("trunc", -1),
+])
+def test_malformed_series_header_rejected(key, value):
+    blob = series_to_json(build_p2_chart(2).potential)
+    blob[key] = value
+    with pytest.raises(ValidationError):
+        series_from_json(blob)
+
+
 def test_chart_schema_errors():
     with pytest.raises(ValidationError):
         chart_from_json({"n": 2})
@@ -121,6 +150,38 @@ def test_cli_canonical_and_gfunction(tmp_path, capsys):
     ]) == 0
     gout = json.loads(capsys.readouterr().out)
     assert abs(float(gout["delta_g"]["re"])) < 1e-8
+
+
+def test_cli_gfunction_reports_diagnostics(tmp_path, capsys):
+    chart_path = tmp_path / "a3.json"
+    main(["an-build", "--n", "3", "--out", str(chart_path)])
+    capsys.readouterr()
+    assert main([
+        "gfunction", "--chart", str(chart_path),
+        "--t0", "0.2,0.4,1.1", "--t1", "0.9,0.4,1.1",
+    ]) == 0
+    gout = json.loads(capsys.readouterr().out)
+    assert gout["level"] >= 1 and gout["j_level"] >= 1
+    assert gout["frames"] > 0
+    assert 0 <= gout["max_defect"] < 1e-10
+
+
+@pytest.mark.parametrize("path,value", [
+    (("terms", 0, "exps"), [0.5, 0, 1]),
+    (("terms", 0), ["1", [0, 0, 3]]),
+    (("terms",), None),
+    (("terms",), {"coeff": "1", "exps": [0, 0, 3]}),
+])
+def test_cli_malformed_potential_is_schema_error(tmp_path, capsys, path, value):
+    blob = chart_to_json(build_an_chart(3))
+    node = blob["potential"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "bad_chart.json"
+    bad.write_text(json.dumps(blob))
+    assert main(["wdvv-check", "--chart", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("schema-error: ")
 
 
 def test_cli_isomonodromy_run(tmp_path, capsys):

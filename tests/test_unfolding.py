@@ -127,6 +127,13 @@ def test_chart_passes_all_exact_checks(n):
     assert report.quadratic_defect is None
 
 
+def test_build_chart_n9_verified_with_unit_antidiagonal_eta():
+    chart = build_an_chart(9, verify=True)
+    assert chart.eta == tuple(
+        tuple(Fraction(1 if a + b == 8 else 0) for b in range(9)) for a in range(9)
+    )
+
+
 def test_chart_tensor_matches_residue_transport():
     # structure constants from the integrated potential reproduce the
     # residue tensor pushed through the coordinate change (independent route)
