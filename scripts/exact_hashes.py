@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Print one sha256 per exact result family, to compare two source trees.
+
+Every result is put in a canonical JSON form (sorted terms, rationals as
+"p/q" strings) before hashing, so two trees that print the same lines
+computed the same exact results.  Families: the A_n and P^2 charts, their
+WDVV reports, axiom reports and intersection forms, the P^2 counts N_1..N_12,
+and the deformed flat series, pairing defects and Omega tables on A4 and
+P^2@5.
+
+Usage: PYTHONPATH=src python scripts/exact_hashes.py
+"""
+
+import hashlib
+import json
+import time
+from fractions import Fraction
+
+from frobforge import (
+    ExpSeries,
+    MultiPoly,
+    build_an_chart,
+    build_p2_chart,
+    check_axioms,
+    check_wdvv,
+    deformed_flat_coordinates,
+    instanton_numbers,
+    intersection_form,
+    omega_table,
+)
+from frobforge.deformed import pairing_defect
+from frobforge.serialize import chart_to_json, potential_to_json
+
+AN_RANKS = range(1, 8)
+P2_DEGREES = (4, 8, 12)
+SERIES_ORDER = 8
+
+
+def canon(x):
+    """JSON-ready canonical form of nested exact results."""
+    if isinstance(x, (MultiPoly, ExpSeries)):
+        return potential_to_json(x)
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, (list, tuple)):
+        return [canon(v) for v in x]
+    if isinstance(x, dict):
+        return [[canon(k), canon(v)] for k, v in sorted(x.items())]
+    return x
+
+
+def families():
+    charts = [(f"A{n}", build_an_chart(n)) for n in AN_RANKS]
+    charts += [(f"P2@{d}", build_p2_chart(d)) for d in P2_DEGREES]
+    yield "charts", [chart_to_json(c) for _, c in charts]
+    wdvv = [check_wdvv(c) for _, c in charts]
+    yield "wdvv", [(r.passed, r.checked, r.nonzero) for r in wdvv]
+    axioms = [check_axioms(c) for _, c in charts]
+    yield "axioms", [(r.unity_ok, r.quasihomogeneous, r.quadratic_defect, r.notes) for r in axioms]
+    forms = [intersection_form(c) for _, c in charts]
+    yield "intersection_forms", [(f.entries, f.determinant) for f in forms]
+    yield "instanton_numbers", instanton_numbers(12)
+    for name, chart in (("A4", build_an_chart(4)), ("P2@5", build_p2_chart(5))):
+        series = deformed_flat_coordinates(chart, SERIES_ORDER)
+        yield f"deformed_series {name}", (series.order, series.thetas, series.matrices)
+        yield f"pairing {name}", [pairing_defect(chart, series, p) for p in range(SERIES_ORDER + 1)]
+        table = omega_table(chart, SERIES_ORDER - 1, series)
+        yield f"omega {name}", (table.order, table.blocks)
+
+
+def main():
+    t0 = time.perf_counter()
+    for name, value in families():
+        blob = json.dumps(canon(value), sort_keys=True).encode()
+        print(f"{name:24s} {hashlib.sha256(blob).hexdigest()}", flush=True)
+    print(f"# {time.perf_counter() - t0:.1f} s")
+
+
+if __name__ == "__main__":
+    main()

@@ -26,35 +26,32 @@ from .series import ExpSeries
 DEFAULT_MARGIN = 1e-6
 
 
-def _compile(tensor, n: int):
-    """Exponent matrix, marker degrees and coefficient matrix of an n^3 tensor
-    of MultiPoly or ExpSeries entries, over the union of their monomials."""
-    rows: dict[tuple[int, tuple[int, ...]], int] = {}
+def _compile(polys):
+    """Exponent matrix and coefficient matrix of a list of MultiPoly entries of
+    one arity, over the union of their monomials."""
+    rows: dict[tuple[int, ...], int] = {}
     index, cols, vals = [], [], []
-    for col, p in enumerate(p for plane in tensor for line in plane for p in line):
-        parts = p.parts.items() if isinstance(p, ExpSeries) else ((0, p),)
-        for k, poly in parts:
-            for exps, coef in poly.terms.items():
-                index.append(rows.setdefault((k, exps), len(rows)))
-                cols.append(col)
-                vals.append(float(coef))
-    E = np.array([exps for _, exps in rows], dtype=np.int64).reshape(len(rows), n)
-    K = np.array([k for k, _ in rows], dtype=float)
-    C = np.zeros((len(rows), n**3), dtype=complex)
+    for col, p in enumerate(polys):
+        for exps, coef in p.terms.items():
+            index.append(rows.setdefault(exps, len(rows)))
+            cols.append(col)
+            vals.append(float(coef))
+    E = np.array(list(rows), dtype=np.int64).reshape(len(rows), polys[0].arity)
+    C = np.zeros((len(rows), len(polys)), dtype=complex)
     C[index, cols] = vals
-    return E, K, C
+    return E, C
 
 
 class ChartEvaluator:
     """Precompiled numeric access to a chart's tensors at complex points.
 
     The structure constants are compiled once into one linear map over the
-    union of the monomials of all n^3 entries c_{ab}^g.  Row r of the exponent
-    matrix ``E`` (m x n) and of the marker-degree vector ``K`` (m) stands for
-    the monomial t^E[r] exp(K[r] t_marker) (K = 0 for polynomial charts), and
-    ``C`` (m x n^3, column (a n + b) n + g) holds its coefficients, so
+    union of the monomials of all n^3 entries c_{ab}^g, each a polynomial in
+    x = t, or in x = (t, q = e^{t_marker}) for an exponential series.  Row r
+    of the exponent matrix ``E`` stands for the monomial x^E[r], and ``C``
+    (m x n^3, column (a n + b) n + g) holds its coefficients, so
 
-        c(t) = (prod(t**E, axis=1) * exp(K t_marker)) @ C
+        c(t) = prod(x**E, axis=1) @ C
 
     reshaped to n x n x n.  Since c = eta^{-1} F_3, the third derivatives
     F_{abe} = c_{ab}^g eta_{ge} follow exactly without a second compile."""
@@ -66,16 +63,20 @@ class ChartEvaluator:
         self.eta_inv = np.linalg.inv(self.eta)
         self.e_lin = np.array([[float(x) for x in row] for row in chart.euler_linear])
         self.e_const = np.array([float(x) for x in chart.euler_const])
-        pot = chart.potential
-        self.marker = pot.marker_var if isinstance(pot, ExpSeries) else 0
-        self.E, self.K, self.C = _compile(structure_constants(chart), self.n)
+        entries = [p for plane in structure_constants(chart) for line in plane for p in line]
+        if isinstance(chart.potential, ExpSeries):
+            entries = [p.poly for p in entries]
+            self._lift = chart.potential.lift_point
+        else:
+            self._lift = np.asarray
+        self.E, self.C = _compile(entries)
         mu = mu_matrix(chart)
         self.mu = np.array([[float(x) for x in row] for row in mu])
         self.mu_diag = tuple(mu[i][i] for i in range(self.n))
 
     def c_tensor(self, t: np.ndarray) -> np.ndarray:
         n = self.n
-        mono = np.prod(t**self.E, axis=1) * np.exp(self.K * t[self.marker])
+        mono = np.prod(np.asarray(self._lift(t)) ** self.E, axis=1)
         return (mono @ self.C).reshape(n, n, n)
 
     def third(self, t: np.ndarray) -> np.ndarray:

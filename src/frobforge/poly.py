@@ -306,9 +306,11 @@ class MultiPoly:
 
     def drop_degree_at_most(self, k: int) -> "MultiPoly":
         """Remove every monomial of total degree <= k."""
-        return self._raw(
-            self.arity, {e: c for e, c in self.terms.items() if sum(e) > k}
-        )
+        return self.select(lambda e: sum(e) > k)
+
+    def select(self, keep) -> "MultiPoly":
+        """The monomials whose exponent tuple satisfies ``keep``."""
+        return self._raw(self.arity, {e: c for e, c in self.terms.items() if keep(e)})
 
     def weighted_scale(self, fn) -> "MultiPoly":
         """Scale each monomial by fn(exponent_tuple); drops resulting zeros."""

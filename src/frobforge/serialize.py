@@ -106,15 +106,14 @@ def poly_from_json(obj) -> MultiPoly:
 
 
 def series_to_json(s: ExpSeries) -> dict:
-    terms = []
-    for k in sorted(s.parts):
-        for e, c in sorted(s.parts[k].items()):
-            terms.append({"coeff": frac_to_str(c), "exps": list(e), "marker": k})
+    terms = sorted(s.poly.items(), key=lambda ec: (ec[0][-1], ec[0][:-1]))
     return {
         "arity": s.arity,
         "marker_var": s.marker_var,
         "trunc": s.trunc,
-        "terms": terms,
+        "terms": [
+            {"coeff": frac_to_str(c), "exps": list(e[:-1]), "marker": e[-1]} for e, c in terms
+        ],
     }
 
 
@@ -123,16 +122,18 @@ def series_from_json(obj) -> ExpSeries:
     if not isinstance(obj, dict) or any(key not in obj for key in keys):
         raise ValidationError(f"series JSON needs {', '.join(keys)}")
     arity = _int_from_json(obj["arity"], "arity", 1)
-    parts: dict[int, dict] = {}
+    marker_var = _int_from_json(obj["marker_var"], "marker_var", 0)
+    if marker_var >= arity:
+        raise ValidationError(f"marker_var {marker_var} must be < arity {arity}")
+    trunc = _int_from_json(obj["trunc"], "trunc", 0)
+    terms: dict[tuple[int, ...], Fraction] = {}
     for t, exps, coeff in _terms_from_json(obj, arity):
-        bucket = parts.setdefault(_int_from_json(t.get("marker", 0), "marker", 0), {})
-        bucket[exps] = bucket.get(exps, Fraction(0)) + coeff
-    return ExpSeries(
-        arity,
-        _int_from_json(obj["marker_var"], "marker_var", 0),
-        _int_from_json(obj["trunc"], "trunc", 0),
-        {k: MultiPoly(arity, d) for k, d in parts.items()},
-    )
+        marker = _int_from_json(t.get("marker", 0), "marker", 0)
+        if marker > trunc:
+            raise ValidationError(f"term marker {marker} exceeds trunc {trunc}")
+        key = exps + (marker,)
+        terms[key] = terms.get(key, Fraction(0)) + coeff
+    return ExpSeries.from_q_poly(MultiPoly(arity + 1, terms), marker_var, trunc)
 
 
 def potential_to_json(p) -> dict:

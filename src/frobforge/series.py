@@ -1,17 +1,20 @@
-"""Truncated exponential series: polynomials decorated with markers e^{k*t'}.
+"""Truncated exponential series: one MultiPoly in (t, q = e^{t'}) with a q-degree cap.
 
 An ExpSeries over coordinates t^1..t^n singles out one coordinate t' (the
-``marker_var``) and stores a polynomial coefficient for each marker degree k,
+``marker_var``) and stands for
 
     F = sum_{k=0..trunc} p_k(t) * e^{k t'},
 
-with every p_k an exact MultiPoly in all n coordinates (polynomial
-t'-dependence inside p_k is allowed).  Products saturate at the truncation
-degree: marker degrees beyond ``trunc`` are dropped.
+with every p_k an exact polynomial in all n coordinates (polynomial
+t'-dependence inside p_k is allowed).  It is stored as the single MultiPoly
+``poly`` in n + 1 variables whose last variable is q = e^{t'}, so p_k is the
+coefficient of q^k; ``part(k)`` reads it back.  Products drop every power of
+q beyond ``trunc``, and d/dt' acts as d/dt' + q d/dq.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -22,7 +25,7 @@ from .poly import MultiPoly
 
 
 class ExpSeries:
-    __slots__ = ("arity", "marker_var", "trunc", "parts")
+    __slots__ = ("arity", "marker_var", "trunc", "poly")
 
     def __init__(
         self,
@@ -31,25 +34,28 @@ class ExpSeries:
         trunc: int,
         parts: Mapping[int, MultiPoly] | None = None,
     ):
+        """The series sum_k parts[k] e^{k t'}, t' = t^{marker_var + 1}."""
+        terms = {}
+        for k, p in (parts or {}).items():
+            if isinstance(p, (int, Fraction)):
+                p = MultiPoly.const(arity, p)
+            if p.arity != arity:
+                raise AlgebraError("part arity mismatch")
+            terms.update((e + (k,), c) for e, c in p.terms.items())
+        self._init(MultiPoly(arity + 1, terms), marker_var, trunc)
+
+    def _init(self, poly: MultiPoly, marker_var: int, trunc: int) -> None:
+        arity = poly.arity - 1
         if not 0 <= marker_var < arity:
             raise AlgebraError("marker variable index out of range")
         if trunc < 0:
             raise AlgebraError("truncation degree must be >= 0")
+        if poly.degree_in(arity) > trunc:
+            raise AlgebraError(f"marker degree {poly.degree_in(arity)} outside [0, {trunc}]")
         self.arity = arity
         self.marker_var = marker_var
         self.trunc = trunc
-        clean: dict[int, MultiPoly] = {}
-        if parts:
-            for k, p in parts.items():
-                if not 0 <= k <= trunc:
-                    raise AlgebraError(f"marker degree {k} outside [0, {trunc}]")
-                if isinstance(p, (int, Fraction)):
-                    p = MultiPoly.const(arity, p)
-                if p.arity != arity:
-                    raise AlgebraError("part arity mismatch")
-                if not p.is_zero():
-                    clean[k] = p
-        self.parts = clean
+        self.poly = poly
 
     # -- constructors ---------------------------------------------------------
 
@@ -57,51 +63,62 @@ class ExpSeries:
     def from_poly(cls, p: MultiPoly, marker_var: int, trunc: int) -> "ExpSeries":
         return cls(p.arity, marker_var, trunc, {0: p})
 
+    @classmethod
+    def from_q_poly(cls, poly: MultiPoly, marker_var: int, trunc: int) -> "ExpSeries":
+        """The series stored as ``poly``, whose last variable is q = e^{t'}."""
+        obj = object.__new__(cls)
+        obj._init(poly, marker_var, trunc)
+        return obj
+
+    def _like(self, poly: MultiPoly) -> "ExpSeries":
+        """Wrap a q-polynomial already known to respect the q-degree cap."""
+        obj = object.__new__(ExpSeries)
+        obj.arity, obj.marker_var, obj.trunc, obj.poly = self.arity, self.marker_var, self.trunc, poly
+        return obj
+
     # The ring interface shared with MultiPoly: constants built from a sample
     # element keep its arity, marker and truncation.
 
     def zero_like(self) -> "ExpSeries":
-        return ExpSeries(self.arity, self.marker_var, self.trunc)
+        return self._like(MultiPoly.zero(self.arity + 1))
 
     def const_like(self, value) -> "ExpSeries":
-        return ExpSeries(
-            self.arity, self.marker_var, self.trunc,
-            {0: MultiPoly.const(self.arity, value)},
-        )
+        return self._like(MultiPoly.const(self.arity + 1, value))
 
     def var_like(self, index: int) -> "ExpSeries":
-        return ExpSeries.from_poly(
-            MultiPoly.variable(self.arity, index), self.marker_var, self.trunc
-        )
-
-    def _compatible(self, other: "ExpSeries") -> None:
-        if (
-            self.arity != other.arity
-            or self.marker_var != other.marker_var
-            or self.trunc != other.trunc
-        ):
-            raise AlgebraError("incompatible series (arity/marker/truncation)")
+        return self._like(self._coerce(MultiPoly.variable(self.arity, index)))
 
     def _coerce(self, other):
+        """The q-polynomial of a compatible series, polynomial or rational."""
         if isinstance(other, ExpSeries):
-            self._compatible(other)
-            return other
+            if (other.arity, other.marker_var, other.trunc) != (
+                self.arity, self.marker_var, self.trunc,
+            ):
+                raise AlgebraError("incompatible series (arity/marker/truncation)")
+            return other.poly
         if isinstance(other, MultiPoly):
-            return ExpSeries.from_poly(other, self.marker_var, self.trunc)
+            return MultiPoly(other.arity + 1, {e + (0,): c for e, c in other.terms.items()})
         if isinstance(other, (int, Fraction)):
-            return self.const_like(other)
+            return MultiPoly.const(self.arity + 1, other)
         return NotImplemented
 
     # -- inspection ------------------------------------------------------------
 
     def part(self, k: int) -> MultiPoly:
-        return self.parts.get(k, MultiPoly.zero(self.arity))
+        """The polynomial coefficient p_k of e^{k t'}."""
+        return MultiPoly(
+            self.arity, {e[:-1]: c for e, c in self.poly.terms.items() if e[-1] == k}
+        )
 
     def is_zero(self) -> bool:
-        return not self.parts
+        return self.poly.is_zero()
 
     def marker_degrees(self):
-        return sorted(self.parts)
+        return sorted({e[-1] for e in self.poly.terms})
+
+    def lift_point(self, point: Sequence) -> list:
+        """The point (t, e^{t'}) at which ``poly`` takes the series' value."""
+        return [*point, cmath.exp(point[self.marker_var])]
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -109,156 +126,98 @@ class ExpSeries:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.parts)
-        for k, p in other.parts.items():
-            s = out.get(k, MultiPoly.zero(self.arity)) + p
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return ExpSeries(self.arity, self.marker_var, self.trunc, out)
+        return self._like(self.poly + other)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExpSeries":
-        return ExpSeries(
-            self.arity, self.marker_var, self.trunc,
-            {k: -p for k, p in self.parts.items()},
-        )
+        return self._like(-self.poly)
 
     def __sub__(self, other) -> "ExpSeries":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._like(self.poly - other)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other) -> "ExpSeries":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[int, MultiPoly] = {}
-        for k1, p1 in self.parts.items():
-            for k2, p2 in other.parts.items():
-                k = k1 + k2
-                if k > self.trunc:
-                    continue
-                prod = p1 * p2
-                s = out.get(k, MultiPoly.zero(self.arity)) + prod
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return ExpSeries(self.arity, self.marker_var, self.trunc, out)
+        trunc = self.trunc
+        return self._like((self.poly * other).select(lambda e: e[-1] <= trunc))
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def scale(self, factor) -> "ExpSeries":
-        return ExpSeries(
-            self.arity, self.marker_var, self.trunc,
-            {k: p.scale(factor) for k, p in self.parts.items()},
-        )
+        return self._like(self.poly.scale(factor))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, MultiPoly)):
-            other = self._coerce(other)
+            return self.poly == self._coerce(other)
         if not isinstance(other, ExpSeries):
             return NotImplemented
-        return (
-            self.arity == other.arity
-            and self.marker_var == other.marker_var
-            and self.trunc == other.trunc
-            and self.parts == other.parts
+        return (self.arity, self.marker_var, self.trunc, self.poly) == (
+            other.arity, other.marker_var, other.trunc, other.poly,
         )
 
     def __hash__(self):
-        return hash(
-            (self.arity, self.marker_var, self.trunc, frozenset(self.parts.items()))
-        )
+        return hash((self.arity, self.marker_var, self.trunc, self.poly))
 
     # -- calculus -----------------------------------------------------------------
 
     def diff(self, var: int) -> "ExpSeries":
-        """Partial derivative; on the marker variable each e^{k t'} also
-        contributes the factor k."""
-        out: dict[int, MultiPoly] = {}
-        for k, p in self.parts.items():
-            d = p.diff(var)
-            if var == self.marker_var and k:
-                d = d + p.scale(k)
-            if not d.is_zero():
-                out[k] = out.get(k, MultiPoly.zero(self.arity)) + d
-        return ExpSeries(self.arity, self.marker_var, self.trunc, out)
+        """Partial derivative; on the marker variable it is d/dt' + q d/dq."""
+        d = self.poly.diff(var)
+        if var == self.marker_var:
+            d = d + self.poly.weighted_scale(lambda e: e[-1])
+        return self._like(d)
 
     def integrate(self, var: int) -> "ExpSeries":
         """Antiderivative in ``var``.
 
-        For marker degree k >= 1 in the marker variable this is iterated
-        integration by parts:
-            int t'^m q e^{k t'} dt'
-              = e^{k t'} * sum_j (-1)^j (m)_j t'^{m-j} q / k^{j+1}.
+        In the marker variable each monomial with q-degree k >= 1 integrates
+        by parts in closed form:
+            int t'^m q^k dt' = q^k sum_{j=0..m} (-1)^j (m)_j t'^{m-j} / k^{j+1},
+        with (m)_j = m (m-1) ... (m-j+1).
         """
-        out: dict[int, MultiPoly] = {}
-
-        def put(k: int, p: MultiPoly) -> None:
-            if p.is_zero():
-                return
-            s = out.get(k, MultiPoly.zero(self.arity)) + p
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-
-        for k, p in self.parts.items():
-            if var != self.marker_var or k == 0:
-                put(k, p.integrate(var))
+        if var != self.marker_var:
+            return self._like(self.poly.integrate(var))
+        out: defaultdict[tuple[int, ...], Fraction] = defaultdict(Fraction)
+        for exps, coeff in self.poly.terms.items():
+            m, k = exps[var], exps[-1]
+            e = list(exps)
+            if not k:
+                e[var] = m + 1
+                out[tuple(e)] += coeff / (m + 1)
                 continue
-            term = p.scale(Fraction(1, k))
-            sign = 1
-            while not term.is_zero():
-                put(k, term.scale(sign))
-                term = term.diff(var).scale(Fraction(1, k))
-                sign = -sign
-        return ExpSeries(self.arity, self.marker_var, self.trunc, out)
+            c = coeff / k
+            for j in range(m + 1):
+                e[var] = m - j
+                out[tuple(e)] += c
+                c = -c * (m - j) / k
+        return self._like(MultiPoly(self.arity + 1, out))
 
     # -- substitution and evaluation -------------------------------------------------
 
     def subs_zero(self, var: int) -> "ExpSeries":
-        """Set coordinate ``var`` to zero; markers collapse to 1 if it is t'."""
+        """Set coordinate ``var`` to zero; if it is t', q = e^{t'} becomes 1."""
         if var != self.marker_var:
-            return ExpSeries(
-                self.arity, self.marker_var, self.trunc,
-                {k: p.subs_zero(var) for k, p in self.parts.items()},
-            )
-        total = MultiPoly.zero(self.arity)
-        for _, p in self.parts.items():
-            total = total + p.subs_zero(var)
-        return ExpSeries(self.arity, self.marker_var, self.trunc, {0: total})
+            return self._like(self.poly.subs_zero(var))
+        out: defaultdict[tuple[int, ...], Fraction] = defaultdict(Fraction)
+        for exps, coeff in self.poly.terms.items():
+            if not exps[var]:
+                out[exps[:-1] + (0,)] += coeff
+        return self._like(MultiPoly(self.arity + 1, out))
 
     def drop_degree_at_most(self, k: int) -> "ExpSeries":
-        """Remove monomials of total degree <= k from the marker-0 part."""
-        out = dict(self.parts)
-        if 0 in out:
-            out[0] = out[0].drop_degree_at_most(k)  # a zero part is dropped on construction
-        return ExpSeries(self.arity, self.marker_var, self.trunc, out)
+        """Remove monomials of total degree <= k in t from the q^0 part."""
+        return self._like(self.poly.select(lambda e: e[-1] or sum(e) > k))
 
     def evaluate(self, point: Sequence) -> complex:
-        t_marker = complex(point[self.marker_var])
-        total = 0j
-        for k, p in self.parts.items():
-            total += complex(p.evaluate(point)) * cmath.exp(k * t_marker)
-        return total
+        return complex(self.poly.evaluate(self.lift_point(point)))
 
     def __repr__(self) -> str:
-        bits = []
-        for k in sorted(self.parts):
-            body = repr(self.parts[k])
-            bits.append(body if k == 0 else f"({body})*E^{k}")
-        return " + ".join(bits) or "0"
+        return f"{self.poly!r} with t{self.arity + 1} = exp(t{self.marker_var + 1})"

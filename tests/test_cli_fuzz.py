@@ -11,14 +11,17 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobforge.cli import main
+from frobforge.projective import build_p2_chart
 from frobforge.serialize import chart_to_json
 from frobforge.unfolding import build_an_chart
 
 A3 = chart_to_json(build_an_chart(3))
+P2 = chart_to_json(build_p2_chart(3))
 
 PREFIXES = ("usage-error: ", "schema-error: ", "algebra-error: ", "numeric-error: ")
 
@@ -33,6 +36,11 @@ PATHS = [
     ("euler", "const"), ("euler", "const", 1),
 ]
 
+# the series header of the P^2 chart and the marker degree of each of its terms
+SERIES_PATHS = [("potential", "marker_var"), ("potential", "trunc")] + [
+    ("potential", "terms", i, "marker") for i in range(len(P2["potential"]["terms"]))
+]
+
 json_values = st.recursive(
     st.none()
     | st.booleans()
@@ -45,8 +53,8 @@ json_values = st.recursive(
 )
 
 
-def mutated(path, value, delete):
-    blob = copy.deepcopy(A3)
+def mutated(base, path, value, delete):
+    blob = copy.deepcopy(base)
     node = blob
     for key in path[:-1]:
         node = node[key]
@@ -64,6 +72,24 @@ def run_cli(argv):
     return code, err.getvalue()
 
 
+def run_on_chart(blob, commands):
+    """(argv, exit code, stderr) of each command run on the chart ``blob``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        chart_path = os.path.join(tmp, "chart.json")
+        with open(chart_path, "w") as fh:
+            json.dump(blob, fh)
+        for argv in commands:
+            argv = [argv[0], "--chart", chart_path, *argv[1:]]
+            yield (argv, *run_cli(argv))
+
+
+def assert_documented_exits(blob, commands):
+    for argv, code, err in run_on_chart(blob, commands):
+        assert code in (0, 1, 2), (argv, code)
+        if code:
+            assert err.startswith(PREFIXES), (argv, err)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(PATHS), json_values, st.booleans())
 @example(("potential", "terms", 0, "exps"), [0.5, 0, 1], False)
@@ -77,16 +103,29 @@ def run_cli(argv):
 @example(("euler", "const"), 7, False)
 @example(("eta", 1, 1), "1", False)
 def test_mutated_chart_gives_documented_exit(path, value, delete):
-    blob = mutated(path, value, delete)
-    with tempfile.TemporaryDirectory() as tmp:
-        chart_path = os.path.join(tmp, "chart.json")
-        with open(chart_path, "w") as fh:
-            json.dump(blob, fh)
-        for argv in (
-            ["wdvv-check", "--chart", chart_path],
-            ["canonical", "--chart", chart_path, "--t", "0.2,0.4,1.1"],
-        ):
-            code, err = run_cli(argv)
-            assert code in (0, 1, 2), (argv, code)
-            if code:
-                assert err.startswith(PREFIXES), (argv, err)
+    assert_documented_exits(
+        mutated(A3, path, value, delete),
+        [["wdvv-check"], ["canonical", "--t", "0.2,0.4,1.1"]],
+    )
+
+
+SERIES_COMMANDS = [["wdvv-check"], ["descendents", "--order", "2"]]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SERIES_PATHS), json_values, st.booleans())
+@example(("potential", "marker_var"), 2, False)
+@example(("potential", "trunc"), 7, False)
+@example(("potential", "terms", 3, "marker"), 0, False)
+@example(("potential", "terms", 0, "marker"), None, False)
+def test_mutated_series_chart_gives_documented_exit(path, value, delete):
+    assert_documented_exits(mutated(P2, path, value, delete), SERIES_COMMANDS)
+
+
+@pytest.mark.parametrize("path,value", [
+    (("potential", "marker_var"), 7),  # not below the arity 3
+    (("potential", "trunc"), 1),  # below the markers 2 and 3 of two terms
+])
+def test_series_range_violation_is_schema_error(path, value):
+    for argv, code, err in run_on_chart(mutated(P2, path, value, False), SERIES_COMMANDS):
+        assert code == 1 and err.startswith("schema-error: "), (argv, code, err)

@@ -82,6 +82,7 @@ def test_malformed_terms_rejected(terms):
 
 @pytest.mark.parametrize("key,value", [
     ("arity", True), ("arity", 3.0), ("marker_var", "1"), ("trunc", -1),
+    ("marker_var", 3), ("trunc", 1),  # marker_var >= arity; trunc below a term's marker 2
 ])
 def test_malformed_series_header_rejected(key, value):
     blob = series_to_json(build_p2_chart(2).potential)

@@ -2,7 +2,7 @@ import cmath
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobforge.errors import AlgebraError
@@ -27,7 +27,7 @@ def test_derivative_mixes_polynomial_and_marker():
     assert s.diff(1) == expect
 
 
-def test_product_saturates_and_flags():
+def test_product_saturates_at_truncation():
     a = term(3, (0, 0, 0), 1)
     b = term(2, (0, 0, 0), 1)
     prod = a * b
@@ -50,10 +50,7 @@ def test_integrate_marker_variable_by_parts():
 @given(st.integers(0, 3), st.integers(0, 2))
 def test_integrate_inverts_diff_on_marker_terms(k, m):
     s = ExpSeries(3, 1, 4, {k: MultiPoly.monomial(3, (1, m, 0), Fraction(3, 2))})
-    if k == 0:
-        assert s.integrate(1).diff(1) == s
-    else:
-        assert s.integrate(1).diff(1) == s
+    assert s.integrate(1).diff(1) == s
 
 
 def test_subs_zero_collapses_markers():
@@ -86,3 +83,91 @@ def test_incompatible_series_rejected():
 def test_marker_degree_bounds():
     with pytest.raises(AlgebraError):
         ExpSeries(3, 1, 2, {3: MultiPoly.const(3, 1)})
+
+
+# -- the q-polynomial storage against a per-marker-degree reference -------------
+#
+# A reference series is a dict {k: MultiPoly} of the coefficients of e^{k t'};
+# each operation below is the textbook per-part rule.
+
+
+def ref_mul(a, b, trunc):
+    out = {}
+    for k1, p1 in a.items():
+        for k2, p2 in b.items():
+            if k1 + k2 <= trunc:
+                out[k1 + k2] = out.get(k1 + k2, p1.zero_like()) + p1 * p2
+    return out
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for k, p in b.items():
+        out[k] = out[k] + p if k in out else p
+    return out
+
+
+def ref_diff(a, var, marker):
+    return {k: p.diff(var) + p.scale(k if var == marker else 0) for k, p in a.items()}
+
+
+def ref_integrate(a, var, marker):
+    out = {}
+    for k, p in a.items():
+        if var != marker or k == 0:
+            out[k] = p.integrate(var)
+            continue
+        # int p e^{k t'} dt' = e^{k t'} (p/k - p'/k^2 + p''/k^3 - ...)
+        acc, term, sign = p.zero_like(), p.scale(Fraction(1, k)), 1
+        while not term.is_zero():
+            acc = acc + term.scale(sign)
+            term, sign = term.diff(var).scale(Fraction(1, k)), -sign
+        out[k] = acc
+    return out
+
+
+def ref_subs_zero_marker(a, marker, arity):
+    return {0: sum((p.subs_zero(marker) for p in a.values()), MultiPoly.zero(arity))}
+
+
+def ref_evaluate(a, point, marker):
+    return sum(complex(p.evaluate(point)) * cmath.exp(k * point[marker]) for k, p in a.items())
+
+
+@st.composite
+def series_pairs(draw):
+    arity = draw(st.integers(1, 3))
+    marker = draw(st.integers(0, arity - 1))
+    trunc = draw(st.integers(0, 3))
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    monos = st.dictionaries(st.tuples(*[st.integers(0, 2)] * arity), coeffs, max_size=3)
+    parts = st.dictionaries(st.integers(0, trunc), monos.map(lambda d: MultiPoly(arity, d)),
+                            max_size=trunc + 1)
+    a, b = draw(parts), draw(parts)
+    var = draw(st.integers(0, arity - 1))
+    point = draw(st.lists(st.complex_numbers(max_magnitude=1.5), min_size=arity, max_size=arity))
+    return arity, marker, trunc, a, b, var, point
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_pairs())
+def test_q_storage_matches_per_part_reference(case):
+    arity, marker, trunc, a, b, var, point = case
+
+    def series(parts):
+        return ExpSeries(arity, marker, trunc, parts)
+
+    sa, sb = series(a), series(b)
+    for k in range(trunc + 1):
+        assert sa.part(k) == a.get(k, MultiPoly.zero(arity))
+    assert sa * sb == series(ref_mul(a, b, trunc))
+    assert sa + sb == series(ref_add(a, b))
+    for v in {var, marker}:
+        assert sa.diff(v) == series(ref_diff(a, v, marker))
+        assert sa.integrate(v) == series(ref_integrate(a, v, marker))
+    assert sa.subs_zero(marker) == series(ref_subs_zero_marker(a, marker, arity))
+    assert sa.subs_zero(marker).marker_degrees() in ([], [0])
+    dropped = {k: p.drop_degree_at_most(1) if k == 0 else p for k, p in a.items()}
+    assert sa.drop_degree_at_most(1) == series(dropped)
+    expect = ref_evaluate(a, point, marker)
+    assert abs(sa.evaluate(point) - expect) <= 1e-12 * max(1.0, abs(expect))
