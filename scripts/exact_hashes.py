@@ -5,8 +5,11 @@ Every result is put in a canonical JSON form (sorted terms, rationals as
 "p/q" strings) before hashing, so two trees that print the same lines
 computed the same exact results.  Families: the A_n and P^2 charts, their
 WDVV reports, axiom reports and intersection forms, the P^2 counts N_1..N_12,
-and the deformed flat series, pairing defects and Omega tables on A4 and
-P^2@5.
+the deformed flat series, pairing defects and Omega tables on A4 and P^2@5,
+and the class lists of the depth-4 braid orbits of the P^2, P^3 and P^4
+Stokes matrices and of the P^2 Gram form carrying its connection matrix
+(Stokes entries as "p/q" whether stored as int or Fraction, connection
+entries to 25 digits).
 
 Usage: PYTHONPATH=src python scripts/exact_hashes.py
 """
@@ -15,6 +18,8 @@ import hashlib
 import json
 import time
 from fractions import Fraction
+
+import mpmath as mp
 
 from frobforge import (
     ExpSeries,
@@ -29,11 +34,15 @@ from frobforge import (
     omega_table,
 )
 from frobforge.deformed import pairing_defect
+from frobforge.monodromy import braid_orbit, pd_connection
+from frobforge.projective import pd_stokes
 from frobforge.serialize import chart_to_json, potential_to_json
 
 AN_RANKS = range(1, 8)
 P2_DEGREES = (4, 8, 12)
 SERIES_ORDER = 8
+ORBIT_DEGREES = (2, 3, 4)
+ORBIT_DEPTH = 4
 
 
 def canon(x):
@@ -47,6 +56,13 @@ def canon(x):
     if isinstance(x, dict):
         return [[canon(k), canon(v)] for k, v in sorted(x.items())]
     return x
+
+
+def braid_class(S, C):
+    stokes = [[str(Fraction(x)) for x in row] for row in S]
+    if C is None:
+        return stokes
+    return [stokes, [[mp.nstr(C[i, j], 25) for j in range(C.cols)] for i in range(C.rows)]]
 
 
 def families():
@@ -66,6 +82,10 @@ def families():
         yield f"pairing {name}", [pairing_defect(chart, series, p) for p in range(SERIES_ORDER + 1)]
         table = omega_table(chart, SERIES_ORDER - 1, series)
         yield f"omega {name}", (table.order, table.blocks)
+    orbits = [braid_orbit(pd_stokes(d), depth=ORBIT_DEPTH, cap=100_000) for d in ORBIT_DEGREES]
+    conn = pd_connection(2)
+    orbits.append(braid_orbit(conn.gram(), conn.connection, depth=ORBIT_DEPTH, cap=100_000))
+    yield "braid", [[braid_class(S, C) for S, C in orbit.classes] for orbit in orbits]
 
 
 def main():

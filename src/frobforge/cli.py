@@ -55,6 +55,19 @@ def _parse_fraction_vector(s: str) -> list[Fraction]:
     return out
 
 
+def _braid_word(text: str) -> list[int]:
+    """--word: comma-separated generator indices, negative = inverse."""
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad braid word {text!r}: expected integers") from None
+
+
+def _load_stokes(path: str):
+    with open(path) as fh:
+        return ser.stokes_from_json(json.load(fh))
+
+
 def _emit(obj, out_path, quiet=False):
     text = ser.dump_json(obj, out_path)
     if not out_path and not quiet:
@@ -257,14 +270,14 @@ def _cmd_connection_pd(args):
 
 
 def _cmd_braid(args):
-    with open(args.s) as fh:
-        S = json.load(fh)
+    S = _load_stokes(args.s)
     C = None
     if args.c:
         with open(args.c) as fh:
             C = ser.complex_matrix_from_json(json.load(fh), "C")
-    word = [int(x) for x in args.word.split(",") if x.strip()]
-    S2, C2 = braid_word(S, C, word)
+        if not C or any(len(row) != len(S) for row in C):
+            raise ValidationError(f"C must be a non-empty matrix with {len(S)} columns")
+    S2, C2 = braid_word(S, C, args.word)
     obj = {"S": [[ser.frac_to_str(x) for x in row] for row in S2]}
     if C2 is not None:
         obj["C"] = ser.complex_matrix_to_json(C2)
@@ -273,8 +286,7 @@ def _cmd_braid(args):
 
 
 def _cmd_orbit(args):
-    with open(args.s) as fh:
-        S = json.load(fh)
+    S = _load_stokes(args.s)
     orbit = braid_orbit(S, depth=args.depth, cap=args.cap)
     obj = {
         "size": orbit.size,
@@ -388,7 +400,8 @@ def build_parser() -> _Parser:
     q = sub.add_parser("braid", help="apply a braid word to (S, C)")
     q.add_argument("--s", required=True, help="JSON file with S")
     q.add_argument("--c", help="JSON file with C")
-    q.add_argument("--word", required=True, help="e.g. '1,-2,1' (negative = inverse)")
+    q.add_argument("--word", required=True, type=_braid_word,
+                   help="e.g. '1,-2,1' (negative = inverse)")
     q.add_argument("--out")
     q.set_defaults(fn=_cmd_braid)
 

@@ -12,8 +12,13 @@ identity only in the (i, i+1) block
 
 the unlisted diagonal entry being fixed to zero (validated by the braid
 relations); the inverse generator uses the block [[0, 1], [1, -s_{i,i+1}]].
-Everything on S is exact rational arithmetic; C and the compatibility check
-run at configurable mpmath precision.
+K S K differs from S only in rows and columns i and i+1, so S moves by an
+O(n) update that uses only +, - and * on its entries (with a = i, b = i+1
+for sigma_i and a, b swapped for its inverse: row a <- row b - s row a,
+row b <- old row a, then the same on columns).  Everything on S is exact:
+integer entries stay Python ints, every other entry is a Fraction.  C and
+the compatibility check run at configurable mpmath precision; C moves by the
+product C K.
 
 For P^d the connection matrix is assembled as C = C' C'': columns of C'' are
 the degree components of e^{2 pi i (j-1) h} (h the hyperplane class), and C'
@@ -42,7 +47,7 @@ from .errors import AlgebraError, ValidationError
 from .linalg import mat_inverse, mat_mul, mat_transpose
 from .projective import PdClassicalData, pd_classical_data, pd_stokes
 
-Matrix = list[list[Fraction]]
+Matrix = list[list[int | Fraction]]
 
 
 def default_dps() -> int:
@@ -127,8 +132,16 @@ def check_compatibility(data: MonodromyData, tol: float = 1e-8) -> Compatibility
 
 # -- braid action -----------------------------------------------------------------
 
+def _exact(x):
+    """x as an int when it is an integer, otherwise as a Fraction."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def _as_exact(S) -> Matrix:
-    return [[Fraction(x) for x in row] for row in S]
+    return [[_exact(x) for x in row] for row in S]
 
 
 def _check_stokes_shape(S: Matrix) -> None:
@@ -154,7 +167,7 @@ class BraidMove:
 def _braid_k(S: Matrix, i0: int, inverse: bool) -> Matrix:
     n = len(S)
     K = [[Fraction(1) if a == b else Fraction(0) for b in range(n)] for a in range(n)]
-    s = S[i0][i0 + 1]
+    s = Fraction(S[i0][i0 + 1])  # an all-Fraction K enters _to_mp_matrix as real mpf entries
     K[i0][i0 + 1] = Fraction(1)
     K[i0 + 1][i0] = Fraction(1)
     if inverse:
@@ -164,6 +177,15 @@ def _braid_k(S: Matrix, i0: int, inverse: bool) -> Matrix:
         K[i0][i0] = -s
         K[i0 + 1][i0 + 1] = Fraction(0)
     return K
+
+
+def _braid_update(S: Matrix, i0: int, inverse: bool) -> None:
+    """S -> K S K in place, touching only rows and columns i0 and i0 + 1."""
+    s = S[i0][i0 + 1]
+    a, b = (i0 + 1, i0) if inverse else (i0, i0 + 1)
+    S[a], S[b] = [y - s * x for x, y in zip(S[a], S[b])], S[a]
+    for row in S:
+        row[a], row[b] = row[b] - s * row[a], row[a]
 
 
 def braid_move(S, i: int, inverse: bool = False) -> BraidMove:
@@ -179,17 +201,17 @@ def braid_move(S, i: int, inverse: bool = False) -> BraidMove:
 def braid_act(S, C=None, i: int = 1, inverse: bool = False):
     """Apply the braid generator sigma_i (or its inverse): S -> KSK, C -> CK.
 
-    S is exact; C (optional) may be an mpmath matrix or nested lists.  Returns
-    (S', C') with C' None when no C was given."""
+    S is exact and moves by the O(n) row-and-column update; C (optional) may
+    be an mpmath matrix or nested lists.  Returns (S', C') with C' None when
+    no C was given."""
     S = _as_exact(S)
     n = len(S)
     if not 1 <= i <= n - 1:
         raise ValidationError(f"generator index {i} out of range 1..{n - 1}")
     _check_stokes_shape(S)
-    K = _braid_k(S, i - 1, inverse)
-    S2 = mat_mul(mat_mul(K, S), K)
     C2 = None
     if C is not None:
+        K = _braid_k(S, i - 1, inverse)
         if isinstance(C, mp.matrix):
             Km = _to_mp_matrix(K, mp.mp.dps)
             C2 = C * Km
@@ -204,7 +226,8 @@ def braid_act(S, C=None, i: int = 1, inverse: bool = False):
                 ]
                 for i in range(rows)
             ]
-    return S2, C2
+    _braid_update(S, i - 1, inverse)
+    return S, C2
 
 
 def braid_word(S, C=None, word: Sequence[int] = ()):  # e.g. (1, -2, 1)
@@ -262,7 +285,8 @@ def sign_canonical(S: Matrix, C=None):
                         d[j] = d[i] if val > 0 else -d[i]
                         stack.append(j)
     signs = [x if x is not None else 1 for x in d]
-    S2 = [[S[i][j] * signs[i] * signs[j] for j in range(n)] for i in range(n)]
+    S2 = [[x if signs[i] == signs[j] else -x for j, x in enumerate(row)]
+          for i, row in enumerate(S)]
     C2 = None
     if C is not None:
         if isinstance(C, mp.matrix):
@@ -304,6 +328,8 @@ def braid_orbit(S, C=None, depth: int = 3, cap: int = 1000) -> BraidOrbit:
     modulo sign diagonals; stops (with a flag) once ``cap`` classes are held."""
     if depth < 0:
         raise ValidationError("depth must be >= 0")
+    if cap < 1:
+        raise ValidationError("cap must be >= 1")
     S = _as_exact(S)
     _check_stokes_shape(S)
     n = len(S)

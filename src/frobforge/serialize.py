@@ -64,6 +64,14 @@ def frac_matrix_from_json(obj, what="matrix") -> tuple:
     return tuple(tuple(frac_from_str(x) for x in row) for row in obj)
 
 
+def stokes_from_json(obj) -> tuple:
+    """A Stokes matrix S: a square list of lists of exact rationals."""
+    rows = frac_matrix_from_json(obj, "S")
+    if any(len(row) != len(rows) for row in rows):
+        raise ValidationError(f"S must be square, got row lengths {[len(r) for r in rows]}")
+    return rows
+
+
 def poly_to_json(p: MultiPoly) -> dict:
     return {
         "arity": p.arity,

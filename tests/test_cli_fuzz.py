@@ -1,4 +1,4 @@
-"""Mutation fuzzing of chart JSON through the CLI.
+"""Mutation fuzzing of chart and Stokes-matrix JSON through the CLI.
 
 Every input must end in a documented exit code, and every non-zero exit in a
 prefixed diagnostic on stderr: never an uncaught exception.
@@ -16,12 +16,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobforge.cli import main
-from frobforge.projective import build_p2_chart
+from frobforge.projective import build_p2_chart, pd_stokes
 from frobforge.serialize import chart_to_json
 from frobforge.unfolding import build_an_chart
 
 A3 = chart_to_json(build_an_chart(3))
 P2 = chart_to_json(build_p2_chart(3))
+STOKES = pd_stokes(2)  # [[1, 3, 3], [0, 1, 3], [0, 0, 1]]
 
 PREFIXES = ("usage-error: ", "schema-error: ", "algebra-error: ", "numeric-error: ")
 
@@ -41,6 +42,9 @@ SERIES_PATHS = [("potential", "marker_var"), ("potential", "trunc")] + [
     ("potential", "terms", i, "marker") for i in range(len(P2["potential"]["terms"]))
 ]
 
+# the whole Stokes matrix, a row, or an entry of it
+STOKES_PATHS = [(), (0,), (2,), (0, 1), (0, 2), (1, 2), (1, 1), (1, 0), (2, 0)]
+
 json_values = st.recursive(
     st.none()
     | st.booleans()
@@ -54,6 +58,8 @@ json_values = st.recursive(
 
 
 def mutated(base, path, value, delete):
+    if not path:
+        return value
     blob = copy.deepcopy(base)
     node = blob
     for key in path[:-1]:
@@ -68,23 +74,27 @@ def mutated(base, path, value, delete):
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # how the argument parser reports a usage error
+            code = exc.code
     return code, err.getvalue()
 
 
-def run_on_chart(blob, commands):
-    """(argv, exit code, stderr) of each command run on the chart ``blob``."""
+def run_on_file(blob, commands, flag="--chart"):
+    """(argv, exit code, stderr) of each command run on ``blob``, written to a
+    JSON file and passed as ``flag``."""
     with tempfile.TemporaryDirectory() as tmp:
-        chart_path = os.path.join(tmp, "chart.json")
-        with open(chart_path, "w") as fh:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as fh:
             json.dump(blob, fh)
         for argv in commands:
-            argv = [argv[0], "--chart", chart_path, *argv[1:]]
+            argv = [argv[0], flag, path, *argv[1:]]
             yield (argv, *run_cli(argv))
 
 
-def assert_documented_exits(blob, commands):
-    for argv, code, err in run_on_chart(blob, commands):
+def assert_documented_exits(blob, commands, flag="--chart"):
+    for argv, code, err in run_on_file(blob, commands, flag):
         assert code in (0, 1, 2), (argv, code)
         if code:
             assert err.startswith(PREFIXES), (argv, err)
@@ -127,5 +137,53 @@ def test_mutated_series_chart_gives_documented_exit(path, value, delete):
     (("potential", "trunc"), 1),  # below the markers 2 and 3 of two terms
 ])
 def test_series_range_violation_is_schema_error(path, value):
-    for argv, code, err in run_on_chart(mutated(P2, path, value, False), SERIES_COMMANDS):
+    for argv, code, err in run_on_file(mutated(P2, path, value, False), SERIES_COMMANDS):
         assert code == 1 and err.startswith("schema-error: "), (argv, code, err)
+
+
+def stokes_commands(word):
+    return [["braid", f"--word={word}"], ["orbit", "--depth", "2"]]
+
+
+words = st.lists(
+    st.sampled_from(["1", "-1", "2", "-2", "0", "3", "x", "", " ", "1.5", "true", "-"]),
+    max_size=4,
+).map(",".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(STOKES_PATHS), json_values, st.booleans(), words)
+@example((0, 1), "x", False, "1")
+@example((1, 2), None, False, "1")
+@example((), {"a": 1}, False, "1")
+@example((0, 1), True, False, "1")
+@example((0, 1), 0.1, False, "1")
+@example((1,), [0, 1, 3, 4], False, "1")
+@example((1, 2), None, True, "1")
+@example((0, 1), 3, False, "1,x")
+def test_mutated_stokes_gives_documented_exit(path, value, delete, word):
+    assert_documented_exits(mutated(STOKES, path, value, delete), stokes_commands(word), "--s")
+
+
+@pytest.mark.parametrize("path,value,argv,prefix", [
+    ((0, 1), "x", ["braid", "--word", "1"], "schema-error: "),
+    ((1, 2), None, ["orbit"], "schema-error: "),
+    ((), {"a": 1}, ["orbit"], "schema-error: "),
+    ((0, 1), True, ["braid", "--word", "1"], "schema-error: "),  # not read as 1
+    ((0, 1), 0.1, ["orbit"], "schema-error: "),  # not read as a binary fraction
+    ((1,), [0, 1, 3, 4], ["braid", "--word", "1"], "schema-error: "),
+    ((), STOKES, ["braid", "--word", "1,x"], "usage-error: "),
+    ((), STOKES, ["orbit", "--cap", "0"], "schema-error: "),
+], ids=["entry-x", "entry-null", "object", "entry-true", "entry-float", "long-row", "word-x",
+        "cap-0"])
+def test_bad_stokes_input_is_diagnosed(path, value, argv, prefix):
+    [(argv, code, err)] = run_on_file(mutated(STOKES, path, value, False), [argv], "--s")
+    assert code == 1 and err.startswith(prefix), (argv, code, err)
+
+
+def test_connection_with_wrong_columns_is_schema_error(tmp_path):
+    c_path = tmp_path / "c.json"
+    c_path.write_text(json.dumps([[1, 0], [0, 1]]))
+    [(argv, code, err)] = run_on_file(
+        STOKES, [["braid", "--word", "1", "--c", str(c_path)]], "--s")
+    assert code == 1 and err.startswith("schema-error: "), (argv, code, err)

@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobforge.errors import ValidationError
+from frobforge.linalg import mat_mul
 from frobforge.monodromy import (
     MonodromyData,
     braid_act,
+    braid_move,
     braid_orbit,
     braid_word,
     char_poly,
@@ -52,6 +56,28 @@ def test_braid_inverse_property():
             A, _ = braid_act(S, None, i)
             B, _ = braid_act(A, None, i, inverse=True)
             assert B == S
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(2, 7), st.sampled_from(["int", "integral Fraction", "Fraction"]),
+       st.booleans())
+def test_braid_act_matches_k_s_k(data, n, kind, inverse):
+    # the O(n) update against the product K S K with K from braid_move
+    if kind == "Fraction":
+        entries = st.builds(Fraction, st.integers(-20, 20), st.integers(2, 6))
+    else:
+        entries = st.integers(-9, 9).map(int if kind == "int" else Fraction)
+    unit = int if kind == "int" else Fraction
+    S = [[unit(1) if i == j else (data.draw(entries) if j > i else unit(0))
+          for j in range(n)] for i in range(n)]
+    before = [row[:] for row in S]
+    i = data.draw(st.integers(1, n - 1))
+    K = braid_move(S, i, inverse).k
+    S2, _ = braid_act(S, None, i, inverse)
+    assert S2 == mat_mul(mat_mul(K, S), K)
+    assert S == before  # the input is not touched
+    if kind != "Fraction":
+        assert all(type(x) is int for row in S2 for x in row)
 
 
 def test_braid_relations_modulo_signs():
@@ -115,6 +141,23 @@ def test_orbit_cap_truncates():
     orbit = braid_orbit(pd_stokes(2), depth=4, cap=5)
     assert orbit.truncated
     assert orbit.size == 5
+
+
+def test_orbit_rejects_cap_below_one():
+    with pytest.raises(ValidationError):
+        braid_orbit(pd_stokes(2), cap=0)
+
+
+@pytest.mark.parametrize("d,size", [(2, 46), (3, 373), (4, 1064)])
+def test_pd_orbit_sizes(d, size):
+    orbit = braid_orbit(pd_stokes(d), depth=4, cap=100_000)
+    assert not orbit.truncated and orbit.size == size
+
+
+def test_p2_orbit_with_connection_size():
+    conn = pd_connection(2)
+    orbit = braid_orbit(conn.gram(), conn.connection, depth=4, cap=100_000)
+    assert not orbit.truncated and orbit.size == 152
 
 
 def test_orbit_classes_keep_invariant():
