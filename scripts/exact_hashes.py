@@ -3,13 +3,14 @@
 
 Every result is put in a canonical JSON form (sorted terms, rationals as
 "p/q" strings) before hashing, so two trees that print the same lines
-computed the same exact results.  Families: the A_n and P^2 charts, their
-WDVV reports, axiom reports and intersection forms, the P^2 counts N_1..N_12,
-the deformed flat series, pairing defects and Omega tables on A4 and P^2@5,
-and the class lists of the depth-4 braid orbits of the P^2, P^3 and P^4
-Stokes matrices and of the P^2 Gram form carrying its connection matrix
-(Stokes entries as "p/q" whether stored as int or Fraction, connection
-entries to 25 digits).
+computed the same exact results.  Families: the A_n flat coordinate maps
+(t(s), s(t), eta and det(dt/ds)) and charts for n = 1..10 and the P^2 charts,
+their WDVV reports, axiom reports and intersection forms (A_n up to n = 8),
+the P^2 counts N_1..N_12, the deformed flat series, pairing defects and Omega
+tables on A4 and P^2@5, and the class lists of the depth-4 braid orbits of the
+P^2, P^3 and P^4 Stokes matrices and of the P^2 Gram form carrying its
+connection matrix (Stokes entries as "p/q" whether stored as int or Fraction,
+connection entries to 25 digits).
 
 Usage: PYTHONPATH=src python scripts/exact_hashes.py
 """
@@ -24,11 +25,13 @@ import mpmath as mp
 from frobforge import (
     ExpSeries,
     MultiPoly,
+    Unfolding,
     build_an_chart,
     build_p2_chart,
     check_axioms,
     check_wdvv,
     deformed_flat_coordinates,
+    flat_coordinates,
     instanton_numbers,
     intersection_form,
     omega_table,
@@ -38,7 +41,8 @@ from frobforge.monodromy import braid_orbit, pd_connection
 from frobforge.projective import pd_stokes
 from frobforge.serialize import chart_to_json, potential_to_json
 
-AN_RANKS = range(1, 8)
+AN_RANKS = range(1, 11)
+AN_NO_FORM = ("A9", "A10")
 P2_DEGREES = (4, 8, 12)
 SERIES_ORDER = 8
 ORBIT_DEGREES = (2, 3, 4)
@@ -66,6 +70,8 @@ def braid_class(S, C):
 
 
 def families():
+    flat = [flat_coordinates(Unfolding.build(n)) for n in AN_RANKS]
+    yield "an_flat", [(fc.t_of_s, fc.s_of_t, fc.eta, fc.jacobian_det) for fc in flat]
     charts = [(f"A{n}", build_an_chart(n)) for n in AN_RANKS]
     charts += [(f"P2@{d}", build_p2_chart(d)) for d in P2_DEGREES]
     yield "charts", [chart_to_json(c) for _, c in charts]
@@ -73,7 +79,9 @@ def families():
     yield "wdvv", [(r.passed, r.checked, r.nonzero) for r in wdvv]
     axioms = [check_axioms(c) for _, c in charts]
     yield "axioms", [(r.unity_ok, r.quasihomogeneous, r.quadratic_defect, r.notes) for r in axioms]
-    forms = [intersection_form(c) for _, c in charts]
+    # the cofactor determinant costs n! products: A8 takes about a minute, A9
+    # would take about twenty minutes
+    forms = [intersection_form(c) for name, c in charts if name not in AN_NO_FORM]
     yield "intersection_forms", [(f.entries, f.determinant) for f in forms]
     yield "instanton_numbers", instanton_numbers(12)
     for name, chart in (("A4", build_an_chart(4)), ("P2@5", build_p2_chart(5))):

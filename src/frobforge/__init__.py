@@ -53,7 +53,6 @@ from .isomonodromy import (
 from .laurent import (
     LaurentTail,
     UPoly,
-    residue_at_infinity,
     sylvester_resultant,
 )
 from .monodromy import (
@@ -84,8 +83,7 @@ from .unfolding import (
     build_an_chart,
     critical_values,
     flat_coordinates,
-    residue_pairing,
-    residue_triple,
+    residue_series,
 )
 
 __version__ = "0.1.0"

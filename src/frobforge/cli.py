@@ -146,10 +146,7 @@ def _cmd_canonical(args):
 
 def _cmd_isomonodromy_run(args):
     with open(args.v0) as fh:
-        vobj = json.load(fh)
-    if isinstance(vobj, dict) and "V" in vobj:
-        vobj = vobj["V"]
-    V = ser.complex_matrix_from_json(vobj, "V")
+        V = ser.skew_matrix_from_json(json.load(fh))
     if len(V) != args.n:
         raise ValidationError(f"V must be {args.n} x {args.n}")
     path = ser.waypoint_list_from_string(args.path)

@@ -1,15 +1,17 @@
 """Univariate expansions at infinity with exact polynomial coefficients.
 
-Carries the residue calculus used by the singularity charts: a ``UPoly`` is a
-polynomial in one distinguished variable x whose coefficients are MultiPoly
-values in auxiliary parameters; a ``LaurentTail`` is its (possibly truncated)
-Laurent expansion at x = infinity.
+A ``UPoly`` is a polynomial in one distinguished variable x whose coefficients
+are MultiPoly values in auxiliary parameters; a ``LaurentTail`` is a (possibly
+truncated) Laurent expansion at x = infinity.  Series coefficients come from
+one routine, ``binomial_power_series``, which expands (1 + g(y))^beta in y = 1/x
+by Miller's recurrence.  ``lagrange_root_expansion`` reads the root
+x(k) of k^m = f(x) off such powers, and the A_n residues of ``unfolding`` are
+the series of 1/f' with beta = -1.  ``sylvester_resultant`` is the resultant
+of two x-polynomials as a polynomial in the parameters.
 
-Conventions:
-  * res_{x=inf} f := -(coefficient of x^{-1} in the expansion of f at infinity)
-  * a LaurentTail is exact for every exponent >= ``min_exp``; terms below are
-    unknown.  ``min_exp is None`` means the expansion is exact everywhere
-    (finitely many terms, no truncation).
+A LaurentTail is exact for every exponent >= ``min_exp``; terms below are
+unknown.  ``min_exp is None`` means the expansion is exact everywhere (finitely
+many terms, no truncation).
 """
 
 from __future__ import annotations
@@ -57,27 +59,6 @@ class UPoly:
             self.arity,
             {d - 1: c.scale(d) for d, c in self.coeffs.items() if d > 0},
         )
-
-    def __add__(self, other: "UPoly") -> "UPoly":
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            out[d] = out.get(d, MultiPoly.zero(self.arity)) + c
-        return UPoly(self.arity, out)
-
-    def __mul__(self, other: "UPoly") -> "UPoly":
-        out: dict[int, MultiPoly] = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
-                d = d1 + d2
-                prod = c1 * c2
-                out[d] = out.get(d, MultiPoly.zero(self.arity)) + prod
-        return UPoly(self.arity, out)
-
-    def scale(self, factor) -> "UPoly":
-        return UPoly(self.arity, {d: c.scale(factor) for d, c in self.coeffs.items()})
-
-    def as_tail(self) -> "LaurentTail":
-        return LaurentTail(self.arity, dict(self.coeffs), None)
 
 
 class LaurentTail:
@@ -128,12 +109,7 @@ class LaurentTail:
             out[e] = out.get(e, MultiPoly.zero(self.arity)) + c
         return LaurentTail(self.arity, out, m)
 
-    def scale(self, factor) -> "LaurentTail":
-        return LaurentTail(
-            self.arity, {e: c.scale(factor) for e, c in self.coeffs.items()}, self.min_exp
-        )
-
-    def mul(self, other: "LaurentTail", floor: int | None = None) -> "LaurentTail":
+    def mul(self, other: "LaurentTail") -> "LaurentTail":
         """Product, exact down to the provable truncation order.
 
         Unknown terms of one factor meet known terms of the other at exponents
@@ -148,8 +124,6 @@ class LaurentTail:
             t = self.top
             bounds.append(other.min_exp + (t if t is not None else 0))
         m = max(bounds) if bounds else None
-        if floor is not None:
-            m = floor if m is None else max(m, floor)
         out: dict[int, MultiPoly] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -164,69 +138,6 @@ class LaurentTail:
         bits = [f"({c})*x^{e}" for e, c in sorted(self.coeffs.items(), reverse=True)]
         tail = f" + O(x^{self.min_exp - 1})" if self.min_exp is not None else ""
         return (" + ".join(bits) or "0") + tail
-
-
-def invert_at_infinity(den: UPoly, floor: int) -> LaurentTail:
-    """Expand 1/den at x = infinity, exact for exponents >= floor.
-
-    Requires the leading coefficient of ``den`` to be a nonzero constant,
-    which holds for every denominator arising here.
-    """
-    if den.is_zero():
-        raise AlgebraError("division by zero polynomial")
-    m = den.degree
-    lead = den.leading_coefficient()
-    if not lead.is_constant():
-        raise AlgebraError("leading coefficient must be constant to invert at infinity")
-    lead_inv = 1 / lead.constant_term()
-    # den = lead * x^m * (1 + u) with u holding only negative powers of x
-    u = LaurentTail(
-        den.arity,
-        {d - m: c.scale(lead_inv) for d, c in den.coeffs.items() if d != m},
-        None,
-    )
-    # geometric series sum (-u)^k; each u factor drops the exponent by >= 1
-    inv_floor = floor + m
-    series = LaurentTail.one(den.arity)
-    term = LaurentTail.one(den.arity)
-    while True:
-        term = term.mul(u, inv_floor).scale(-1)
-        if not term.coeffs:
-            break
-        series = series.add(term)
-    return LaurentTail(
-        den.arity,
-        {e - m: c.scale(lead_inv) for e, c in series.coeffs.items()},
-        floor,
-    )
-
-
-def expand_ratio(num: UPoly, den: UPoly, floor: int) -> LaurentTail:
-    """Expansion of num/den at x = infinity, exact for exponents >= floor."""
-    inv = invert_at_infinity(den, floor - max(num.degree, 0))
-    return num.as_tail().mul(inv, floor)
-
-
-def residue_at_infinity(num: UPoly, den: UPoly, order_hint: int | None = None) -> MultiPoly:
-    """res_{x=inf} num/den = -(coefficient of x^{-1}) of the expansion.
-
-    ``order_hint`` bounds how many expansion terms may be used (counted from
-    the top exponent down); if it does not reach x^{-1} an AlgebraError is
-    raised so the caller can retry with a larger hint.  When omitted the depth
-    is chosen automatically.
-    """
-    if den.is_zero():
-        raise AlgebraError("division by zero polynomial")
-    top = num.degree - den.degree
-    if order_hint is not None:
-        reach = top - order_hint + 1
-        if reach > -1:
-            raise AlgebraError(
-                f"order_hint={order_hint} only reaches x^{reach}; "
-                "increase it to reach the x^-1 term"
-            )
-    tail = expand_ratio(num, den, -1)
-    return -tail.coefficient(-1)
 
 
 def sylvester_resultant(f: UPoly, g: UPoly) -> MultiPoly:
@@ -275,15 +186,16 @@ def lagrange_root_expansion(f: UPoly, order: int) -> LaurentTail:
     coeffs = {1: MultiPoly.const(f.arity, 1)}
     for j in range(order):
         w = j or 1  # c_0 reads the 1/m power, like c_1
-        top = _binomial_power_coefficient(g, Fraction(w, m), j + 1, f.arity)
+        top = binomial_power_series(g, Fraction(w, m), j + 1, f.arity)[-1]
         coeffs[-j] = top.scale(Fraction(-1, w))
     return LaurentTail(f.arity, coeffs, -(order - 1))
 
 
-def _binomial_power_coefficient(
+def binomial_power_series(
     g: Mapping[int, MultiPoly], beta: Fraction, degree: int, arity: int
-) -> MultiPoly:
-    """[y^degree] (1 + sum_k g[k] y^k)^beta by J. C. P. Miller's recurrence
+) -> list[MultiPoly]:
+    """[y^0], ..., [y^degree] of (1 + sum_k g[k] y^k)^beta by J. C. P. Miller's
+    recurrence
 
         P_0 = 1,  P_i = (1/i) sum_k (beta k - (i - k)) g[k] P_{i-k}
 
@@ -296,4 +208,4 @@ def _binomial_power_coefficient(
             if k <= i and weight:
                 acc = acc + gk.scale(weight) * powers[i - k]
         powers.append(acc.scale(Fraction(1, i)))
-    return powers[degree]
+    return powers

@@ -9,6 +9,7 @@ carry {"n", "eta", "charge_d", "unity_index", "potential", "euler"}.
 
 from __future__ import annotations
 
+import cmath
 import json
 from fractions import Fraction
 
@@ -39,19 +40,25 @@ def complex_to_json(z: complex) -> dict:
 
 
 def complex_from_json(obj) -> complex:
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    if isinstance(obj, str):
-        try:
-            return complex(obj.replace(" ", ""))
-        except ValueError as exc:
-            raise ValidationError(f"bad complex literal {obj!r}") from exc
-    if isinstance(obj, dict) and "re" in obj and "im" in obj:
-        try:
-            return complex(float(obj["re"]), float(obj["im"]))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"bad complex object {obj!r}") from exc
-    raise ValidationError(f"cannot parse complex from {obj!r}")
+    """A finite complex from a JSON number, a literal such as "1+2j", or
+    {"re": ..., "im": ...}; booleans are not numbers here."""
+    parts = [obj.get("re"), obj.get("im")] if isinstance(obj, dict) else [obj]
+    if any(isinstance(part, bool) for part in parts):
+        raise ValidationError(f"expected a complex number, got {obj!r}")
+    try:
+        if isinstance(obj, (int, float)):
+            z = complex(obj)
+        elif isinstance(obj, str):
+            z = complex(obj.replace(" ", ""))
+        elif isinstance(obj, dict) and "re" in obj and "im" in obj:
+            z = complex(float(obj["re"]), float(obj["im"]))
+        else:
+            raise ValidationError(f"cannot parse complex from {obj!r}")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"bad complex value {obj!r}") from exc
+    if not cmath.isfinite(z):
+        raise ValidationError(f"complex value {obj!r} is not finite")
+    return z
 
 
 def frac_matrix_to_json(rows) -> list:
@@ -210,29 +217,39 @@ def dump_json(obj, path: str | None) -> str:
 
 def complex_vector_from_string(s: str) -> list[complex]:
     """Parse 'a, b, c' with python complex literals (1+2j) per entry."""
-    out = []
-    for piece in s.split(","):
-        piece = piece.strip().replace(" ", "")
-        if not piece:
-            continue
-        try:
-            out.append(complex(piece))
-        except ValueError as exc:
-            raise ValidationError(f"bad complex literal {piece!r}") from exc
+    out = [complex_from_json(piece) for piece in s.split(",") if piece.strip()]
     if not out:
         raise ValidationError("empty vector")
     return out
 
 
 def waypoint_list_from_string(s: str) -> list[list[complex]]:
-    """Parse 'u1,u2,..; u1,u2,..; ...' into a list of u-waypoints."""
-    return [complex_vector_from_string(seg) for seg in s.split(";") if seg.strip()]
+    """Parse 'u1,u2,..; u1,u2,..; ...' into a non-empty list of u-waypoints."""
+    out = [complex_vector_from_string(seg) for seg in s.split(";") if seg.strip()]
+    if not out:
+        raise ValidationError("empty path")
+    return out
 
 
 def complex_matrix_from_json(obj, what="matrix") -> list[list[complex]]:
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise ValidationError(f"{what} must be a list of rows")
     return [[complex_from_json(x) for x in row] for row in obj]
+
+
+def skew_matrix_from_json(obj, what="V") -> list[list[complex]]:
+    """A square complex matrix with V + V^T = 0 exactly, bare or as {"V": ...}."""
+    if isinstance(obj, dict) and what in obj:
+        obj = obj[what]
+    rows = complex_matrix_from_json(obj, what)
+    if any(len(row) != len(rows) for row in rows):
+        raise ValidationError(f"{what} must be square, got row lengths {[len(r) for r in rows]}")
+    for i, row in enumerate(rows):
+        for j in range(i, len(rows)):
+            if row[j] != -rows[j][i]:
+                raise ValidationError(f"{what} must be skew: entries ({i + 1},{j + 1}) and "
+                                      f"({j + 1},{i + 1}) do not sum to 0")
+    return rows
 
 
 def complex_matrix_to_json(rows) -> list:

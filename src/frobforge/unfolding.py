@@ -5,7 +5,12 @@ The flat pairing and the multiplication come from residues at infinity,
     <d_i, d_j>      = -(n+1) res  (df/ds_i)(df/ds_j) / f'
     <d_i . d_j, d_k> = -(n+1) res  (df/ds_i)(df/ds_j)(df/ds_k) / f',
 
-which are exact polynomials in s.  Flat coordinates are the residues
+which are exact polynomials in s.  Since df/ds_i = x^{n-i}, each of them is one
+coefficient a_m of the single series (n+1) x^n / f' = sum_m a_m x^{-m}
+(``residue_series``): <d_i, d_j> = a_{n+1-i-j} and the triple entry is
+a_{2n+1-i-j-k}.  The series is composed with s(t) once per chart and feeds
+both the constant-pairing check and the push-forward of the triple tensor.
+Flat coordinates are the residues
 t_j ∝ res f^{j/(n+1)} dx (Dubrovin, Lecture 4; K. Saito): with y = 1/x and
 f = x^{n+1} (1 + g(y)), t_j = ((n+1)/j) [y^{j+1}] (1 + g)^{j/(n+1)}.  Listed in
 reverse so the unity direction comes first, they make the pairing the constant
@@ -22,7 +27,7 @@ import mpmath as mp
 
 from .charts import FMChart
 from .errors import AlgebraError, NumericError
-from .laurent import UPoly, lagrange_root_expansion, residue_at_infinity
+from .laurent import UPoly, binomial_power_series, lagrange_root_expansion
 from .linalg import frac_matrix, poly_mat_det
 from .poly import MultiPoly
 
@@ -45,42 +50,41 @@ class Unfolding:
         f = UPoly(n, coeffs)
         return cls(n, f, f.diff_x())
 
-    def ds(self, i: int) -> UPoly:
-        """df/ds_i = x^{n-i} (1-based i)."""
-        if not 1 <= i <= self.n:
-            raise AlgebraError("parameter index out of range")
-        return UPoly(self.n, {self.n - i: MultiPoly.const(self.n, 1)})
 
+def residue_series(unf: Unfolding) -> list[MultiPoly]:
+    """a_0, ..., a_{2n-2} in s, defined by (n+1) x^n / f' = sum_m a_m x^{-m}.
 
-def residue_pairing(unf: Unfolding) -> list[list[MultiPoly]]:
-    """Exact metric entries -(n+1) res (df/ds_i)(df/ds_j)/f' in s-coordinates."""
+    Since df/ds_i = x^{n-i}, each residue is one coefficient (1-based indices,
+    a_m = 0 for m < 0):  <d_i, d_j> = a_{n+1-i-j},  c_ijk = a_{2n+1-i-j-k}."""
     n = unf.n
-    out = [[None] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            num = unf.ds(i) * unf.ds(j)
-            val = residue_at_infinity(num, unf.fprime).scale(-(n + 1))
-            out[i - 1][j - 1] = val
-            out[j - 1][i - 1] = val
+    # f' = (n+1) x^n (1 + h(y)) with y = 1/x
+    h = {n - d: c.scale(Fraction(1, n + 1)) for d, c in unf.fprime.coeffs.items() if d != n}
+    return binomial_power_series(h, Fraction(-1), 2 * n - 2, n)
+
+
+def _series_at(a, n):
+    """m -> a_m, the zero polynomial for m < 0."""
+    zero = MultiPoly.zero(n)
+    return lambda m: a[m] if m >= 0 else zero
+
+
+def _ds_dt(s_of_t) -> list[list[MultiPoly]]:
+    """B[i][a] = ds_i/dt^a."""
+    return [[s.diff(a) for a in range(len(s_of_t))] for s in s_of_t]
+
+
+def _contract(B, entry, keys):
+    """{key: sum_m B[m][key[-1]] entry(m, *key[:-1])}: contracting one index at
+    a time keeps a push-forward at O(n^4) polynomial products."""
+    out = {}
+    for key in keys:
+        acc = MultiPoly.zero(len(B))
+        for m in range(len(B)):
+            val, b = entry(m, *key[:-1]), B[m][key[-1]]
+            if not (val.is_zero() or b.is_zero()):
+                acc = acc + b * val
+        out[key] = acc
     return out
-
-
-def residue_triple(unf: Unfolding) -> dict[tuple[int, int, int], MultiPoly]:
-    """Fully symmetric tensor -(n+1) res (df/ds_i)(df/ds_j)(df/ds_k)/f'.
-
-    Returned as a map on sorted index triples (1-based)."""
-    n = unf.n
-    out: dict[tuple[int, int, int], MultiPoly] = {}
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            for k in range(j, n + 1):
-                num = unf.ds(i) * unf.ds(j) * unf.ds(k)
-                out[(i, j, k)] = residue_at_infinity(num, unf.fprime).scale(-(n + 1))
-    return out
-
-
-def triple_entry(tensor, i: int, j: int, k: int) -> MultiPoly:
-    return tensor[tuple(sorted((i, j, k)))]
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,7 @@ class FlatCoordinateMap:
     Coordinates are listed so that t^1 is the unity direction (the s_n axis)
     and Lie_E t^b = ((n+2-b)/(n+1)) t^b.  ``eta`` is the constant pairing in
     these coordinates and ``jacobian_det`` the constant det(dt/ds).
+    ``a_of_t`` is ``residue_series`` composed with s(t).
     """
 
     n: int
@@ -97,6 +102,7 @@ class FlatCoordinateMap:
     s_of_t: tuple[MultiPoly, ...]
     eta: tuple[tuple[Fraction, ...], ...]
     jacobian_det: Fraction
+    a_of_t: tuple[MultiPoly, ...]
 
 
 def flat_coordinates(unf: Unfolding) -> FlatCoordinateMap:
@@ -121,23 +127,20 @@ def flat_coordinates(unf: Unfolding) -> FlatCoordinateMap:
         if t_of_s[b].compose(s_of_t) != MultiPoly.variable(n, b):
             raise AlgebraError("flat coordinate inversion failed")
 
-    g_t = [[g.compose(s_of_t) for g in row] for row in residue_pairing(unf)]
-    jac_s = [[s_of_t[i].diff(al) for al in range(n)] for i in range(n)]  # ds_i/dt^a
-    eta_rows = []
-    for al in range(n):
-        row = []
-        for be in range(n):
-            acc = MultiPoly.zero(n)
-            for i in range(n):
-                for j in range(n):
-                    if not g_t[i][j].is_zero():
-                        acc = acc + jac_s[i][al] * jac_s[j][be] * g_t[i][j]
-            if not acc.is_constant():
-                raise AlgebraError(
-                    f"pairing entry ({al + 1},{be + 1}) did not become constant: {acc}"
-                )
-            row.append(acc.constant_term())
-        eta_rows.append(row)
+    # the residue series at s(t), shared with the triple push-forward; with
+    # 0-based s indices the pairing entry (i, j) is a_{n-1-i-j}
+    a_of_t = tuple(a.compose(s_of_t) for a in residue_series(unf))
+    a_at = _series_at(a_of_t, n)
+    B = _ds_dt(s_of_t)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    g_B = _contract(B, lambda m, i: a_at(n - 1 - m - i), pairs)
+    eta = _contract(B, lambda m, be: g_B[(m, be)], pairs)
+    for (be, al), entry in eta.items():
+        if not entry.is_constant():
+            raise AlgebraError(
+                f"pairing entry ({al + 1},{be + 1}) did not become constant: {entry}"
+            )
+    eta_rows = [[eta[(be, al)].constant_term() for be in range(n)] for al in range(n)]
 
     jac_t = [[t_of_s[b].diff(i) for i in range(n)] for b in range(n)]
     det = poly_mat_det(jac_t)
@@ -145,7 +148,7 @@ def flat_coordinates(unf: Unfolding) -> FlatCoordinateMap:
         raise AlgebraError("Jacobian of t(s) must be a nonzero constant")
 
     return FlatCoordinateMap(
-        n, t_of_s, tuple(s_of_t), frac_matrix(eta_rows), det.constant_term()
+        n, t_of_s, tuple(s_of_t), frac_matrix(eta_rows), det.constant_term(), a_of_t
     )
 
 
@@ -162,37 +165,25 @@ def build_an_chart(n: int, verify: bool = True) -> FMChart:
     of total degree <= 2 removed."""
     unf = Unfolding.build(n)
     fc = flat_coordinates(unf)
-    triple = residue_triple(unf)
 
-    # push the triple tensor through the coordinate change
-    B = [[fc.s_of_t[i].diff(al) for al in range(n)] for i in range(n)]  # ds_i/dt^a
-    c_sub = {key: val.compose(list(fc.s_of_t)) for key, val in triple.items()}
-
-    def contract(entry, keys):
-        """{key: sum_m B[m][key[-1]] entry(m, *key[:-1])}: one index at a time
-        keeps the push-forward at O(n^4) polynomial products."""
-        out = {}
-        for key in keys:
-            acc = MultiPoly.zero(n)
-            for m in range(n):
-                val, b = entry(m, *key[:-1]), B[m][key[-1]]
-                if not (val.is_zero() or b.is_zero()):
-                    acc = acc + b * val
-            out[key] = acc
-        return out
-
-    ordered = [(j, k) for j in range(n) for k in range(j, n)]
-    d1 = contract(
-        lambda i, j, k: triple_entry(c_sub, i + 1, j + 1, k + 1),
-        [(j, k, al) for j, k in ordered for al in range(n)],
+    # push c_ijk = a_{2n+1-i-j-k} (1-based) through the coordinate change; with
+    # 0-based indices the first contraction depends on j + k = p only
+    B = _ds_dt(fc.s_of_t)
+    a_at = _series_at(fc.a_of_t, n)
+    d1 = _contract(
+        B,
+        lambda m, p: a_at(2 * n - 2 - m - p),
+        [(p, al) for p in range(2 * n - 1) for al in range(n)],
     )
-    d2 = contract(
-        lambda j, k, al: d1[(min(j, k), max(j, k), al)],
-        [(k, al, be) for k in range(n) for al in range(n) for be in range(n)],
+    d2 = _contract(
+        B,
+        lambda j, k, al: d1[(j + k, al)],
+        [(k, al, be) for k in range(n) for al in range(n) for be in range(al, n)],
     )
-    c_t = contract(
+    c_t = _contract(
+        B,
         lambda k, al, be: d2[(k, al, be)],
-        [(al, be, ga) for al, be in ordered for ga in range(be, n)],
+        [(al, be, ga) for al in range(n) for be in range(al, n) for ga in range(be, n)],
     )
 
     def c_entry(al, be, ga):

@@ -1,4 +1,5 @@
-"""Mutation fuzzing of chart and Stokes-matrix JSON through the CLI.
+"""Mutation fuzzing of chart, Stokes-matrix and V JSON and of point strings
+through the CLI.
 
 Every input must end in a documented exit code, and every non-zero exit in a
 prefixed diagnostic on stderr: never an uncaught exception.
@@ -89,7 +90,7 @@ def run_on_file(blob, commands, flag="--chart"):
         with open(path, "w") as fh:
             json.dump(blob, fh)
         for argv in commands:
-            argv = [argv[0], flag, path, *argv[1:]]
+            argv = [*argv, flag, path]
             yield (argv, *run_cli(argv))
 
 
@@ -187,3 +188,98 @@ def test_connection_with_wrong_columns_is_schema_error(tmp_path):
     [(argv, code, err)] = run_on_file(
         STOKES, [["braid", "--word", "1", "--c", str(c_path)]], "--s")
     assert code == 1 and err.startswith("schema-error: "), (argv, code, err)
+
+
+def test_connection_with_boolean_entry_is_schema_error(tmp_path):
+    c_path = tmp_path / "c.json"
+    c_path.write_text(json.dumps([[True, 0.5, 0], [0, 1, 0], [0, 0, 1]]))
+    [(argv, code, err)] = run_on_file(
+        STOKES, [["braid", "--word", "1", "--c", str(c_path)]], "--s")
+    assert code == 1 and err.startswith("schema-error: "), (argv, code, err)
+
+
+# a skew V on A3-sized u-paths, the A3 chart for G, and points that work
+V3 = [[0, 0.3, 0.1], [-0.3, 0, 0.5], [-0.1, -0.5, 0]]
+U_PATH = "0,1,2+1j; 0.4,1.3,2+1j"
+T0, T1 = "0.2,0.4,1.1", "0.9,0.4,1.1"
+
+# the whole V, a row, or an entry of it
+V_PATHS = [(), (0,), (1,), (0, 1), (1, 0), (1, 1), (2, 0), (2, 2)]
+
+
+def isomonodromy_command(path=U_PATH):
+    # "--flag=value", so that a value such as "-inf" is not read as an option
+    return ["isomonodromy", "run", "--n", "3", f"--path={path}", "--tol", "1e-8"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(V_PATHS), json_values, st.booleans())
+@example((1,), [-0.3, 0], False)  # ragged
+@example((1, 0), 0.3, False)  # not skew
+@example((1, 1), 0.2, False)  # nonzero diagonal
+@example((0, 1), True, False)
+@example((0, 1), {"re": True, "im": 0}, False)
+@example((0, 1), "nan", False)
+@example((0, 1), float("inf"), False)
+@example((), [[0, 1, 0], [1, 0, 0], [0, 0, 0]], False)
+@example((), {"V": V3}, False)
+def test_mutated_v_gives_documented_exit(path, value, delete):
+    assert_documented_exits(mutated(V3, path, value, delete), [isomonodromy_command()], "--v0")
+
+
+@pytest.mark.parametrize("path,value", [
+    ((1,), [-0.3, 0]),
+    ((1, 0), 0.3),
+    ((1, 1), 0.2),
+    ((0, 1), True),
+    ((0, 1), {"re": True, "im": 0}),
+    ((0, 1), "nan"),
+    ((0, 1), float("inf")),
+    ((), [[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
+], ids=["ragged", "not-skew", "diagonal", "entry-true", "re-true", "entry-nan", "entry-inf",
+        "symmetric"])
+def test_bad_v_is_schema_error(path, value):
+    [(argv, code, err)] = run_on_file(
+        mutated(V3, path, value, False), [isomonodromy_command()], "--v0")
+    assert code == 1 and err.startswith("schema-error: "), (argv, code, err)
+
+
+GOOD_TOKENS = ["0", "1", "-1", "0.5", "2", "1+1j", "-0.3j", " 0.4 "]
+BAD_TOKENS = ["x", "1+", "true", "nan", "inf", "-inf", "1e400", "nan+1j", "1/2"]
+
+point_strings = st.lists(
+    st.lists(st.sampled_from(GOOD_TOKENS + BAD_TOKENS + [""]), max_size=4).map(",".join),
+    min_size=1, max_size=3,
+).map(";".join)
+
+
+def point_commands(flag, text):
+    """The command that reads ``text`` as ``flag``, the other inputs valid."""
+    if flag == "--path":
+        return [isomonodromy_command(text)]
+    points = {"--t0": T0, "--t1": T1, flag: text}
+    return [["gfunction", f"--t0={points['--t0']}", f"--t1={points['--t1']}"]]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["--path", "--t0", "--t1"]), point_strings)
+@example("--path", "1,nan;1,3")
+@example("--path", "0,1,2;0,1,inf")
+@example("--t0", "nan,0,1")
+@example("--t1", "1e400,0.4,1.1")
+@example("--t0", "0.2;0.4,1.1")
+@example("--path", "0,1,2;;0.5,1,2")
+@example("--t1", "")
+@example("--path", " ; ")
+@example("--path", "-inf")
+def test_mutated_points_give_documented_exit(flag, text):
+    # a token that is not a finite complex literal is a schema error, whatever
+    # else the string holds
+    bad = any(tok.strip() in BAD_TOKENS for tok in text.replace(";", ",").split(","))
+    blob, file_flag = (V3, "--v0") if flag == "--path" else (A3, "--chart")
+    for argv, code, err in run_on_file(blob, point_commands(flag, text), file_flag):
+        assert code in (0, 1, 2), (argv, code)
+        if code:
+            assert err.startswith(PREFIXES), (argv, err)
+        if bad:
+            assert code == 1 and err.startswith("schema-error: "), (argv, code, err)

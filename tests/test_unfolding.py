@@ -13,9 +13,7 @@ from frobforge.unfolding import (
     critical_values,
     euler_weights,
     flat_coordinates,
-    residue_pairing,
-    residue_triple,
-    triple_entry,
+    residue_series,
 )
 
 
@@ -24,40 +22,55 @@ def test_unfolding_shape():
     assert unf.f.degree == 4
     # coefficient of x^n vanishes: the family is x^4 + s1 x^2 + s2 x + s3
     assert 3 not in unf.f.coeffs
-    assert unf.ds(2).degree == 1
+
+
+def pairing(a, n, i, j):
+    """<d_i, d_j> = a_{n+1-i-j} (1-based), zero for a negative index."""
+    m = n + 1 - i - j
+    return a[m] if m >= 0 else MultiPoly.zero(n)
+
+
+def triple(a, n, i, j, k):
+    """c_ijk = a_{2n+1-i-j-k} (1-based), zero for a negative index."""
+    m = 2 * n + 1 - i - j - k
+    return a[m] if m >= 0 else MultiPoly.zero(n)
 
 
 def test_residue_pairing_n2():
-    unf = Unfolding.build(2)
-    g = residue_pairing(unf)
-    assert g[0][1] == MultiPoly.const(2, 1)
-    assert g[0][0].is_zero()      # at every s, not only s = 0
-    assert g[1][1].is_zero()      # integrand decays like x^-2
+    a = residue_series(Unfolding.build(2))
+    assert pairing(a, 2, 1, 2) == MultiPoly.const(2, 1)
+    assert pairing(a, 2, 1, 1).is_zero()      # at every s, not only s = 0
+    assert pairing(a, 2, 2, 2).is_zero()      # integrand decays like x^-2
 
 
 def test_residue_pairing_n1():
-    unf = Unfolding.build(1)
-    g = residue_pairing(unf)
-    assert g[0][0] == MultiPoly.const(1, 1)  # -2 res 1/(2x) = 1
+    a = residue_series(Unfolding.build(1))
+    assert pairing(a, 1, 1, 1) == MultiPoly.const(1, 1)  # -2 res 1/(2x) = 1
 
 
 def test_residue_triple_n2():
-    unf = Unfolding.build(2)
-    c = residue_triple(unf)
-    assert triple_entry(c, 2, 2, 2).is_zero()
-    assert triple_entry(c, 1, 2, 2) == MultiPoly.const(2, 1)
+    a = residue_series(Unfolding.build(2))
+    assert triple(a, 2, 2, 2, 2).is_zero()
+    assert triple(a, 2, 1, 2, 2) == MultiPoly.const(2, 1)
     # entry (1,1,1) = -s1/3
-    assert triple_entry(c, 1, 1, 1) == MultiPoly.variable(2, 0).scale(Fraction(-1, 3))
+    assert triple(a, 2, 1, 1, 1) == MultiPoly.variable(2, 0).scale(Fraction(-1, 3))
 
 
-def test_triple_contracted_with_unity_gives_pairing():
-    for n in (1, 2, 3):
-        unf = Unfolding.build(n)
-        g = residue_pairing(unf)
-        c = residue_triple(unf)
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                assert triple_entry(c, i, j, n) == g[i - 1][j - 1]
+@pytest.mark.parametrize("n", range(1, 11))
+def test_residue_series_inverts_fprime(n):
+    # f' * sum_{m <= 2n-2} a_m x^{2n-2-m} = (n+1) x^{3n-2} + terms of degree < n:
+    # the dropped tail a_m x^{-m}, m >= 2n-1, only reaches degree n-1
+    unf = Unfolding.build(n)
+    a = residue_series(unf)
+    assert len(a) == 2 * n - 1
+    product = {}
+    for d, c in unf.fprime.coeffs.items():
+        for m, am in enumerate(a):
+            e = d + 2 * n - 2 - m
+            product[e] = product.get(e, MultiPoly.zero(n)) + c * am
+    for e in range(n, 3 * n - 1):
+        expect = MultiPoly.const(n, n + 1) if e == 3 * n - 2 else MultiPoly.zero(n)
+        assert product.get(e, MultiPoly.zero(n)) == expect, (n, e)
 
 
 def test_flat_coordinates_n1():
@@ -142,7 +155,7 @@ def test_chart_tensor_matches_residue_transport():
     unf = Unfolding.build(n)
     fc = flat_coordinates(unf)
     c_chart = structure_constants(chart)
-    triple = residue_triple(unf)
+    a = residue_series(unf)
     jac = [[fc.s_of_t[i].diff(a) for a in range(n)] for i in range(n)]
     eta_inv = chart.eta_inv
     for al in range(n):
@@ -157,7 +170,7 @@ def test_chart_tensor_matches_residue_transport():
                 for i in range(1, n + 1):
                     for j in range(1, n + 1):
                         for k in range(1, n + 1):
-                            cij = triple_entry(triple, i, j, k).compose(list(fc.s_of_t))
+                            cij = triple(a, n, i, j, k).compose(list(fc.s_of_t))
                             if cij.is_zero():
                                 continue
                             direct = direct + (
