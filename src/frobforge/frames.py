@@ -236,8 +236,10 @@ def canonical_frame(
             "for truncated potentials move to a better-converged region)"
         )
 
-    # V = Psi mu Psi^{-1} with Psi^{-1} = eta^{-1} Psi^T
+    # V = Psi mu Psi^{-1} with Psi^{-1} = eta^{-1} Psi^T, made exactly skew:
+    # a - b is exactly -(b - a) in IEEE arithmetic and halving is exact
     v = psi @ (ev.mu @ ev.eta_inv) @ psi.T
+    v = (v - v.T) / 2
 
     return CanonicalFrame(
         point=tuple(complex(x) for x in tt),

@@ -237,17 +237,17 @@ def complex_matrix_from_json(obj, what="matrix") -> list[list[complex]]:
     return [[complex_from_json(x) for x in row] for row in obj]
 
 
-def skew_matrix_from_json(obj, what="V") -> list[list[complex]]:
-    """A square complex matrix with V + V^T = 0 exactly, bare or as {"V": ...}."""
-    if isinstance(obj, dict) and what in obj:
-        obj = obj[what]
-    rows = complex_matrix_from_json(obj, what)
+def skew_matrix_from_json(obj) -> list[list[complex]]:
+    """A square complex V with V + V^T = 0 exactly, bare or as {"V": ...}."""
+    if isinstance(obj, dict) and "V" in obj:
+        obj = obj["V"]
+    rows = complex_matrix_from_json(obj, "V")
     if any(len(row) != len(rows) for row in rows):
-        raise ValidationError(f"{what} must be square, got row lengths {[len(r) for r in rows]}")
+        raise ValidationError(f"V must be square, got row lengths {[len(r) for r in rows]}")
     for i, row in enumerate(rows):
         for j in range(i, len(rows)):
             if row[j] != -rows[j][i]:
-                raise ValidationError(f"{what} must be skew: entries ({i + 1},{j + 1}) and "
+                raise ValidationError(f"V must be skew: entries ({i + 1},{j + 1}) and "
                                       f"({j + 1},{i + 1}) do not sum to 0")
     return rows
 

@@ -212,32 +212,28 @@ def isomonodromy_command(path=U_PATH):
     return ["isomonodromy", "run", "--n", "3", f"--path={path}", "--tol", "1e-8"]
 
 
+# (where, value, case id) of each V that must be a schema error
+BAD_V = [
+    ((1,), [-0.3, 0], "ragged"),
+    ((1, 0), 0.3, "not-skew"),
+    ((1, 1), 0.2, "diagonal"),
+    ((0, 1), True, "entry-true"),
+    ((0, 1), {"re": True, "im": 0}, "re-true"),
+    ((0, 1), "nan", "entry-nan"),
+    ((0, 1), float("inf"), "entry-inf"),
+    ((), [[0, 1, 0], [1, 0, 0], [0, 0, 0]], "symmetric"),
+]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(V_PATHS), json_values, st.booleans())
-@example((1,), [-0.3, 0], False)  # ragged
-@example((1, 0), 0.3, False)  # not skew
-@example((1, 1), 0.2, False)  # nonzero diagonal
-@example((0, 1), True, False)
-@example((0, 1), {"re": True, "im": 0}, False)
-@example((0, 1), "nan", False)
-@example((0, 1), float("inf"), False)
-@example((), [[0, 1, 0], [1, 0, 0], [0, 0, 0]], False)
 @example((), {"V": V3}, False)
 def test_mutated_v_gives_documented_exit(path, value, delete):
     assert_documented_exits(mutated(V3, path, value, delete), [isomonodromy_command()], "--v0")
 
 
-@pytest.mark.parametrize("path,value", [
-    ((1,), [-0.3, 0]),
-    ((1, 0), 0.3),
-    ((1, 1), 0.2),
-    ((0, 1), True),
-    ((0, 1), {"re": True, "im": 0}),
-    ((0, 1), "nan"),
-    ((0, 1), float("inf")),
-    ((), [[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
-], ids=["ragged", "not-skew", "diagonal", "entry-true", "re-true", "entry-nan", "entry-inf",
-        "symmetric"])
+@pytest.mark.parametrize("path,value", [case[:2] for case in BAD_V],
+                         ids=[case[2] for case in BAD_V])
 def test_bad_v_is_schema_error(path, value):
     [(argv, code, err)] = run_on_file(
         mutated(V3, path, value, False), [isomonodromy_command()], "--v0")

@@ -204,6 +204,17 @@ def test_cli_isomonodromy_run(tmp_path, capsys):
     assert len(lines) > 2
 
 
+def test_cli_canonical_output_feeds_isomonodromy_run(tmp_path):
+    chart_path, frame_path = tmp_path / "a3.json", tmp_path / "frame.json"
+    main(["an-build", "--n", "3", "--out", str(chart_path)])
+    assert main(["canonical", "--chart", str(chart_path), "--t", "0.2,0.4,1.1",
+                 "--out", str(frame_path)]) == 0
+    u = [complex_from_json(x) for x in json.loads(frame_path.read_text())["u"]]
+    path = "; ".join(",".join(repr(s * x) for x in u) for s in (1, 1.1))
+    assert main(["isomonodromy", "run", "--n", "3", "--v0", str(frame_path),
+                 f"--path={path}", "--tol", "1e-8", "--out", str(tmp_path / "traj.csv")]) == 0
+
+
 def test_cli_braid_and_orbit(tmp_path, capsys):
     s = tmp_path / "s.json"
     s.write_text("[[1,2],[0,1]]")
