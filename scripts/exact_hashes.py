@@ -79,8 +79,7 @@ def families():
     yield "wdvv", [(r.passed, r.checked, r.nonzero) for r in wdvv]
     axioms = [check_axioms(c) for _, c in charts]
     yield "axioms", [(r.unity_ok, r.quasihomogeneous, r.quadratic_defect, r.notes) for r in axioms]
-    # the cofactor determinant costs n! products: A8 takes about a minute, A9
-    # would take about twenty minutes
+    # A9 and A10 stay out: the A9 form alone takes over a minute (A8 about 6 s)
     forms = [intersection_form(c) for name, c in charts if name not in AN_NO_FORM]
     yield "intersection_forms", [(f.entries, f.determinant) for f in forms]
     yield "instanton_numbers", instanton_numbers(12)

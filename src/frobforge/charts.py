@@ -81,12 +81,9 @@ class FMChart:
 
     def lie_euler(self, f: Potential) -> Potential:
         """Lie derivative of a function along the Euler field."""
-        acc = self.potential.zero_like()
-        for a, ea in enumerate(self.euler_components()):
-            df = f.diff(a)
-            if not (ea.is_zero() or df.is_zero()):
-                acc = acc + ea * df
-        return acc
+        return self.potential.dot(
+            (ea, f.diff(a)) for a, ea in enumerate(self.euler_components())
+        )
 
 
 def third_derivatives(chart: FMChart) -> list[list[list[Potential]]]:
@@ -123,13 +120,9 @@ def _structure_constants(F: Potential, eta_inv: FracMatrix) -> list[list[list[Po
     for a in range(n):
         for b in range(a, n):
             for g in range(n):
-                acc = F.zero_like()
-                for e in range(n):
-                    coef = eta_inv[g][e]
-                    if coef:
-                        acc = acc + F3[a][b][e].scale(coef)
-                c[a][b][g] = acc
-                c[b][a][g] = acc
+                c[a][b][g] = c[b][a][g] = F.dot(
+                    (F.const_like(eta_inv[g][e]), F3[a][b][e]) for e in range(n)
+                )
     return c
 
 
@@ -142,14 +135,15 @@ def wdvv_residuals(F: Potential, eta_inv: FracMatrix):
     indices and a < g, since the residual is antisymmetric in (a, g)."""
     n = len(eta_inv)
     c = _structure_constants(F, eta_inv)
+    minus_c = [[[-x for x in cab] for cab in ca] for ca in c]
     for a in range(n):
         for g in range(a + 1, n):
             for b in range(n):
                 for dd in range(n):
-                    acc = F.zero_like()
-                    for e in range(n):
-                        acc = acc + c[a][b][e] * c[e][g][dd] - c[b][g][e] * c[e][a][dd]
-                    yield (a + 1, b + 1, g + 1, dd + 1), acc
+                    yield (a + 1, b + 1, g + 1, dd + 1), F.dot(
+                        [(c[a][b][e], c[e][g][dd]) for e in range(n)]
+                        + [(minus_c[b][g][e], c[e][a][dd]) for e in range(n)]
+                    )
 
 
 @dataclass
@@ -273,24 +267,19 @@ def intersection_form(chart: FMChart) -> IntersectionFormMatrix:
     eta_inv = chart.eta_inv
     F3 = third_derivatives(chart)
     E = chart.euler_components()
-    rows = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            acc = chart.potential.zero_like()
-            for e in range(n):
-                # c_e^{ab} = eta^{am} eta^{bn} F_{emn}
-                raised = chart.potential.zero_like()
-                for m in range(n):
-                    am = eta_inv[a][m]
-                    if not am:
-                        continue
-                    for nn in range(n):
-                        bn = eta_inv[b][nn]
-                        if bn:
-                            raised = raised + F3[e][m][nn].scale(am * bn)
-                if not E[e].is_zero():
-                    acc = acc + E[e] * raised
-            row.append(acc)
-        rows.append(row)
+    # g^{ab} = E^e eta^{am} eta^{bk} F_{emk}, one fused sum per entry
+    rows = [
+        [
+            chart.potential.dot(
+                (E[e].scale(eta_inv[a][m] * eta_inv[b][k]), F3[e][m][k])
+                for e in range(n)
+                for m in range(n)
+                if eta_inv[a][m]
+                for k in range(n)
+                if eta_inv[b][k]
+            )
+            for b in range(n)
+        ]
+        for a in range(n)
+    ]
     return IntersectionFormMatrix(rows, poly_mat_det(rows))

@@ -94,27 +94,23 @@ def deformed_flat_coordinates(chart: FMChart, order: int) -> DeformedFlatSeries:
     eta_inv = chart.eta_inv
     zero = chart.potential.zero_like()
 
-    def var_lowered(lam: int) -> Potential:
-        acc = zero
-        for g in range(n):
-            coef = chart.eta[lam][g]
-            if coef:
-                acc = acc + chart.potential.var_like(g).scale(coef)
-        return acc
+    def combine(coefs, elements) -> Potential:
+        """sum_g coefs[g] elements[g] for rational coefs."""
+        return zero.dot((zero.const_like(k), x) for k, x in zip(coefs, elements))
 
-    thetas: list[list[Potential]] = [[var_lowered(lam) for lam in range(n)]]
+    t = [zero.var_like(g) for g in range(n)]
+    thetas: list[list[Potential]] = [[combine(chart.eta[lam], t) for lam in range(n)]]
     for p in range(order):
         prev = thetas[-1]
         new_level = []
         for lam in range(n):
             grads = [prev[lam].diff(g) for g in range(n)]
-            hess = [
-                [
-                    _contract(c, a, b, grads, zero)
-                    for b in range(n)
-                ]
-                for a in range(n)
-            ]
+            # d_a d_b theta^(p+1) = c_{ab}^g d_g theta^(p): symmetric, so
+            # build b >= a and mirror
+            hess = [[zero] * n for _ in range(n)]
+            for a in range(n):
+                for b in range(a, n):
+                    hess[a][b] = hess[b][a] = zero.dot(zip(c[a][b], grads))
             try:
                 new_level.append(potential_from_hessian(hess))
             except AlgebraError as exc:
@@ -125,64 +121,45 @@ def deformed_flat_coordinates(chart: FMChart, order: int) -> DeformedFlatSeries:
         thetas.append(new_level)
 
     matrices = []
-    for p, level in enumerate(thetas):
-        mat = [[zero for _ in range(n)] for _ in range(n)]
-        grads = [[level[lam].diff(b) for b in range(n)] for lam in range(n)]
-        for a in range(n):
-            for lam in range(n):
-                acc = zero
-                for b in range(n):
-                    coef = eta_inv[a][b]
-                    if coef:
-                        acc = acc + grads[lam][b].scale(coef)
-                mat[a][lam] = acc
-        matrices.append(mat)
+    for level in thetas:
+        grads = [[theta.diff(b) for b in range(n)] for theta in level]
+        matrices.append([[combine(eta_inv[a], g) for g in grads] for a in range(n)])
     return DeformedFlatSeries(order, thetas, matrices)
 
 
-def _contract(c, a, b, grads, zero):
-    acc = zero
-    for g in range(len(grads)):
-        if not grads[g].is_zero():
-            acc = acc + c[a][b][g] * grads[g]
-    return acc
+def _signed_pairings(chart: FMChart, terms) -> list[list[Potential]]:
+    """sum of w A^T eta B over the (w, A, B) in ``terms``, each entry
+    (al, be) one fused sum over (A, i, j) of w eta_{ij} A[i][al] B[j][be]."""
+    n = chart.n
+    eta = [(i, j, chart.eta[i][j]) for i in range(n) for j in range(n) if chart.eta[i][j]]
+    return [
+        [
+            chart.potential.dot(
+                (A[i][al].scale(w * e), B[j][be]) for w, A, B in terms for i, j, e in eta
+            )
+            for be in range(n)
+        ]
+        for al in range(n)
+    ]
 
 
 def eta_pairing(
     chart: FMChart, A: list[list[Potential]], B: list[list[Potential]]
 ) -> list[list[Potential]]:
     """The matrix A^T eta B: entry (al, be) is sum_{ij} A[i][al] eta_{ij} B[j][be]."""
-    n = chart.n
-    zero = chart.potential.zero_like()
-    out = [[zero for _ in range(n)] for _ in range(n)]
-    for al in range(n):
-        for be in range(n):
-            acc = zero
-            for i in range(n):
-                for j in range(n):
-                    coef = chart.eta[i][j]
-                    if coef and not A[i][al].is_zero() and not B[j][be].is_zero():
-                        acc = acc + (A[i][al] * B[j][be]).scale(coef)
-            out[al][be] = acc
-    return out
+    return _signed_pairings(chart, [(1, A, B)])
 
 
 def pairing_defect(chart: FMChart, series: DeformedFlatSeries, p: int) -> list[list[Potential]]:
     """sum_{a+b=p} (-1)^a Theta_a^T eta Theta_b minus eta [p=0]; zero when the
     series satisfies the pairing identity at order p."""
-    n = chart.n
-    zero = chart.potential.zero_like()
-    out = [[zero for _ in range(n)] for _ in range(n)]
-    for a in range(p + 1):
-        term = eta_pairing(chart, series.matrices[a], series.matrices[p - a])
-        for al in range(n):
-            for be in range(n):
-                acc = term[al][be]
-                out[al][be] = out[al][be] + (-acc if a % 2 else acc)
+    M = series.matrices
+    out = _signed_pairings(chart, [((-1) ** a, M[a], M[p - a]) for a in range(p + 1)])
     if p == 0:
-        for al in range(n):
-            for be in range(n):
-                out[al][be] = out[al][be] - chart.potential.const_like(chart.eta[al][be])
+        out = [
+            [x - chart.potential.const_like(e) for x, e in zip(row, eta_row)]
+            for row, eta_row in zip(out, chart.eta)
+        ]
     return out
 
 

@@ -58,6 +58,7 @@ def omega_table(
     elif series.order < order + 1:
         raise AlgebraError("deformed flat series order too low for this table")
     zero = chart.potential.zero_like()
+    sign = (zero.const_like(1), zero.const_like(-1))
 
     def n_block(p: int, q: int) -> list[list[Potential]]:
         # coefficient of z^p w^q in Phi^T(w) eta Phi(z) - eta
@@ -79,11 +80,7 @@ def omega_table(
     for m in range(order + 2):
         for a in range(n):
             for b in range(n):
-                acc = zero
-                for p in range(m + 1):
-                    q = m - p
-                    entry = n_of(p, q)[a][b]
-                    acc = acc + (entry if q % 2 == 0 else -entry)
+                acc = zero.dot((n_of(p, m - p)[a][b], sign[(m - p) % 2]) for p in range(m + 1))
                 if not acc.is_zero():
                     raise AlgebraError(
                         "(z+w)-division failed: pairing identity broken at "
@@ -93,14 +90,13 @@ def omega_table(
     blocks: dict[tuple[int, int], list[list[Potential]]] = {}
     for p in range(order + 1):
         for q in range(order + 1 - p):
-            out = [[zero for _ in range(n)] for _ in range(n)]
-            for j in range(q + 1):
-                blockN = n_of(p + 1 + j, q - j)
-                for a in range(n):
-                    for b in range(n):
-                        entry = blockN[a][b]
-                        out[a][b] = out[a][b] + (entry if j % 2 == 0 else -entry)
-            blocks[(p, q)] = out
+            blocks[(p, q)] = [
+                [
+                    zero.dot((n_of(p + 1 + j, q - j)[a][b], sign[j % 2]) for j in range(q + 1))
+                    for b in range(n)
+                ]
+                for a in range(n)
+            ]
     return DescendentTable(order, blocks)
 
 
@@ -139,17 +135,12 @@ def hierarchy_flow(
     eta_inv = chart.eta_inv
     density = series.theta(p + 1, alpha)
     grads = [density.diff(b) for b in range(n)]
-    rows = []
-    for g in range(n):
-        row = []
-        for e in range(n):
-            acc = chart.potential.zero_like()
-            for b in range(n):
-                coef = eta_inv[g][b]
-                if coef:
-                    acc = acc + grads[b].diff(e).scale(coef)
-            row.append(acc)
-        rows.append(row)
+    P = chart.potential
+    hessian = [[grad.diff(e) for e in range(n)] for grad in grads]
+    rows = [
+        [P.dot((P.const_like(eta_inv[g][b]), hessian[b][e]) for b in range(n)) for e in range(n)]
+        for g in range(n)
+    ]
     return HierarchyFlow(alpha, p, rows)
 
 
@@ -177,32 +168,30 @@ def flow_commutator_jets(
         raise AlgebraError("symbolic jet commutator needs polynomial flow matrices")
     jet = 3 * n  # variables: t (0..n-1), t_X (n..2n-1), t_XX (2n..3n-1)
 
+    zero = MultiPoly.zero(jet)
+    t_x = [zero.var_like(n + s) for s in range(n)]
+    t_xx = [zero.var_like(2 * n + s) for s in range(n)]
+
     def characteristic(flow: HierarchyFlow) -> list[MultiPoly]:
-        out = []
-        for g in range(n):
-            acc = MultiPoly.zero(jet)
-            for e in range(n):
-                a = _lift_jet(flow.matrix[g][e], jet)
-                acc = acc + a * MultiPoly.variable(jet, n + e)
-            out.append(acc)
-        return out
+        return [
+            zero.dot((_lift_jet(flow.matrix[g][e], jet), t_x[e]) for e in range(n))
+            for g in range(n)
+        ]
 
     def total_x(p: MultiPoly) -> MultiPoly:
-        acc = MultiPoly.zero(jet)
-        for s in range(n):
-            acc = acc + p.diff(s) * MultiPoly.variable(jet, n + s)
-            acc = acc + p.diff(n + s) * MultiPoly.variable(jet, 2 * n + s)
-        return acc
+        return zero.dot(
+            [(p.diff(s), t_x[s]) for s in range(n)] + [(p.diff(n + s), t_xx[s]) for s in range(n)]
+        )
 
     def frechet(q: list[MultiPoly], p: list[MultiPoly]) -> list[MultiPoly]:
-        out = []
-        for g in range(n):
-            acc = MultiPoly.zero(jet)
-            for b in range(n):
-                acc = acc + q[g].diff(b) * p[b]
-                acc = acc + q[g].diff(n + b) * total_x(p[b])
-            out.append(acc)
-        return out
+        dx_p = [total_x(pb) for pb in p]
+        return [
+            zero.dot(
+                [(q[g].diff(b), p[b]) for b in range(n)]
+                + [(q[g].diff(n + b), dx_p[b]) for b in range(n)]
+            )
+            for g in range(n)
+        ]
 
     Qa, Qb = characteristic(fa), characteristic(fb)
     dba = frechet(Qb, Qa)

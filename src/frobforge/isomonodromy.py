@@ -290,6 +290,10 @@ def g_function(
             prev = total
         raise NumericError("tau quadrature did not converge at the requested tolerance")
 
+    # both end frames are read by the log J grid anyway; reading them first
+    # rejects an end point on the caustic before any quadrature
+    frame_at(0.0)
+    frame_at(1.0)
     d_log_tau, level = quad()
 
     # branch-tracked log J on a dyadic grid at least as fine as the quadrature

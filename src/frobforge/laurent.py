@@ -202,10 +202,7 @@ def binomial_power_series(
     (Knuth, TAOCP vol. 2, section 4.7)."""
     powers = [MultiPoly.const(arity, 1)]
     for i in range(1, degree + 1):
-        acc = MultiPoly.zero(arity)
-        for k, gk in g.items():
-            weight = beta * k - (i - k)
-            if k <= i and weight:
-                acc = acc + gk.scale(weight) * powers[i - k]
-        powers.append(acc.scale(Fraction(1, i)))
+        powers.append(MultiPoly.zero(arity).dot(
+            (gk.scale((beta * k - (i - k)) / i), powers[i - k]) for k, gk in g.items() if k <= i
+        ))
     return powers

@@ -185,6 +185,45 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
+    def dot(self, pairs) -> "MultiPoly":
+        """Sum of a * b over the (a, b) pairs, in the ring of this element.
+
+        One fused sum of products: every pair is packed in one Kronecker base
+        and multiplied into one integer accumulator over one common
+        denominator, raised to the lcm when a pair's denominators need it, so
+        each surviving term becomes a Fraction once."""
+        coerce = self._coerce
+        live, top = [], 0
+        for a, b in pairs:
+            a, b = coerce(a).terms, coerce(b).terms
+            if a and b:
+                live.append((a, b))
+                if self.arity:
+                    top = max(top, max(map(max, a)) + max(map(max, b)))
+        base = top + 1
+        place = [base**i for i in range(self.arity)]
+        acc: dict[int, int] = {}
+        get = acc.get
+        den = 1
+        for a, b in live:
+            den_a, left = _packed_integer_terms(a, place)
+            den_b, right = _packed_integer_terms(b, place)
+            d = den_a * den_b
+            if den % d:
+                up = math.lcm(den, d) // den
+                for k in acc:
+                    acc[k] *= up
+                den *= up
+            s = den // d
+            for ka, na in left:
+                na *= s
+                for kb, nb in right:
+                    k = ka + kb
+                    acc[k] = get(k, 0) + na * nb
+        return self._raw(self.arity, {
+            tuple([k // p % base for p in place]): Fraction(v, den) for k, v in acc.items() if v
+        })
+
     def scale(self, factor) -> "MultiPoly":
         f = _as_fraction(factor)
         if f == 0:

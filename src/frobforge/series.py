@@ -151,6 +151,13 @@ class ExpSeries:
 
     __rmul__ = __mul__
 
+    def dot(self, pairs) -> "ExpSeries":
+        """Sum of a * b over the (a, b) pairs: one fused sum of q-polynomial
+        products, truncated once at the end (truncation is linear)."""
+        coerce, trunc = self._coerce, self.trunc
+        total = self.poly.dot((coerce(a), coerce(b)) for a, b in pairs)
+        return self._like(total.select(lambda e: e[-1] <= trunc))
+
     def scale(self, factor) -> "ExpSeries":
         return self._like(self.poly.scale(factor))
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 import mpmath as mp
 
@@ -76,15 +77,11 @@ def _ds_dt(s_of_t) -> list[list[MultiPoly]]:
 def _contract(B, entry, keys):
     """{key: sum_m B[m][key[-1]] entry(m, *key[:-1])}: contracting one index at
     a time keeps a push-forward at O(n^4) polynomial products."""
-    out = {}
-    for key in keys:
-        acc = MultiPoly.zero(len(B))
-        for m in range(len(B)):
-            val, b = entry(m, *key[:-1]), B[m][key[-1]]
-            if not (val.is_zero() or b.is_zero()):
-                acc = acc + b * val
-        out[key] = acc
-    return out
+    zero = MultiPoly.zero(len(B))
+    return {
+        key: zero.dot((B[m][key[-1]], entry(m, *key[:-1])) for m in range(len(B)))
+        for key in keys
+    }
 
 
 @dataclass(frozen=True)
@@ -189,20 +186,13 @@ def build_an_chart(n: int, verify: bool = True) -> FMChart:
     def c_entry(al, be, ga):
         return c_t[tuple(sorted((al, be, ga)))]
 
-    # P = sum t^a t^b t^g c_{abg}; every monomial of P has degree >= 3, and
-    # F is recovered by dividing each monomial of degree m by m(m-1)(m-2)
-    P = MultiPoly.zero(n)
-    for al in range(n):
-        for be in range(n):
-            for ga in range(n):
-                cc = c_entry(al, be, ga)
-                if cc.is_zero():
-                    continue
-                mono = [0] * n
-                mono[al] += 1
-                mono[be] += 1
-                mono[ga] += 1
-                P = P + MultiPoly.monomial(n, mono, 1) * cc
+    # P = sum t^a t^b t^g c_{abg} over all ordered triples, each sorted one
+    # weighted by its number of orderings; every monomial of P has degree >= 3,
+    # and F is recovered by dividing each monomial of degree m by m(m-1)(m-2)
+    P = MultiPoly.zero(n).dot(
+        (MultiPoly.monomial(n, [key.count(i) for i in range(n)], len(set(permutations(key)))), c)
+        for key, c in c_t.items()
+    )
     F = P.weighted_scale(
         lambda e: Fraction(1, sum(e) * (sum(e) - 1) * (sum(e) - 2))
     )

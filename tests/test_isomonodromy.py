@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from frobforge.errors import SemisimplicityError
+from frobforge import isomonodromy
+from frobforge.errors import NumericError, SemisimplicityError
 from frobforge.frames import ChartEvaluator
 from frobforge.isomonodromy import (
     IsomonodromyState,
@@ -314,3 +315,19 @@ def test_g_function_path_independence():
         + g_function(ev, mid, b, tol=1e-10).delta_g
     )
     assert abs(direct - two_leg) < 1e-6
+
+
+def test_g_function_rejects_a_caustic_end_point_before_quadrature(monkeypatch):
+    # u_2 = u_3 exactly at t1 = (0, 0, -1) on A3: the end frames are read
+    # before any quadrature node, so the call fails after at most two frames
+    calls = []
+    real = isomonodromy.canonical_frame
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(isomonodromy, "canonical_frame", counting)
+    with pytest.raises(NumericError):
+        g_function(build_an_chart(3), [0.2, 0.4, 1.1], [0, 0, -1])
+    assert 1 <= len(calls) <= 2

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobforge.errors import AlgebraError
+from frobforge.linalg import poly_mat_det
 from frobforge.poly import MultiPoly
+from frobforge.series import ExpSeries
 
 
 def mk(arity, terms):
@@ -171,3 +173,89 @@ def test_product_empty_and_arity_zero():
     p = mk(2, {(3, 1): Fraction(5, 7)})
     assert (p * MultiPoly.zero(2)).terms == {}
     assert (MultiPoly.zero(2) * p).terms == {}
+
+
+# -- the fused sum of products against a plain sum of products ------------------
+
+@st.composite
+def dot_cases(draw):
+    """0-5 pairs in arity 0-3 with denominators that share few factors, so the
+    common denominator grows mid-stream; a pair may be followed by its
+    negation, so parts of the sum cancel."""
+    arity = draw(st.integers(0, 3))
+    coeffs = st.builds(Fraction, st.integers(-50, 50), st.sampled_from([1, 2, 3, 5, 7, 9, 16]))
+    exps = st.tuples(*[st.integers(0, 5)] * arity)
+    factor = st.dictionaries(exps, coeffs, max_size=4).map(lambda d: MultiPoly(arity, d))
+    pairs = []
+    for a, b in draw(st.lists(st.tuples(factor, factor), max_size=5)):
+        pairs.append((a, b))
+        if draw(st.booleans()):
+            pairs.append((-a, b))
+    return arity, pairs
+
+
+@given(dot_cases())
+@settings(max_examples=200)
+def test_dot_matches_sum_of_products(case):
+    arity, pairs = case
+    zero = MultiPoly.zero(arity)
+    got = zero.dot(iter(pairs))
+    assert got.arity == arity
+    assert got == sum((a * b for a, b in pairs), zero)
+    assert all(type(c) is Fraction and c != 0 for c in got.terms.values())
+
+
+def test_dot_rescales_cancels_and_skips_zeros():
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    zero = MultiPoly.zero(2)
+    # denominators 1, then 6, then 4: the accumulator is rescaled to 6, then 12
+    got = zero.dot([
+        (x, y),
+        (x.scale(Fraction(1, 2)), y.scale(Fraction(1, 3))),
+        (x.scale(Fraction(1, 2)), x.scale(Fraction(1, 2))),
+    ])
+    assert got.terms == {(1, 1): Fraction(7, 6), (2, 0): Fraction(1, 4)}
+    half = Fraction(1, 2)
+    assert zero.dot([(x + half, y), (-x - half, y)]).terms == {}
+    assert zero.dot([(zero, x), (y, zero)]).terms == {}
+    assert zero.dot([]) == zero and zero.dot([]).arity == 2
+    assert zero.dot([(x, 3), (half, y)]) == 3 * x + half * y
+    a, b = MultiPoly.const(0, Fraction(-3, 4)), MultiPoly.const(0, Fraction(8, 9))
+    assert MultiPoly.zero(0).dot([(a, b), (a, a)]).terms == {(): Fraction(-2, 3) + Fraction(9, 16)}
+    with pytest.raises(AlgebraError):
+        zero.dot([(MultiPoly.variable(3, 0), x)])
+
+
+# -- the determinant against first-row cofactor expansion -------------------------
+
+def cofactor_det(rows):
+    """The textbook n! expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = rows[0][0].zero_like()
+    for j, entry in enumerate(rows[0]):
+        term = entry * cofactor_det([row[:j] + row[j + 1:] for row in rows[1:]])
+        total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
+@st.composite
+def det_matrices(draw):
+    """1x1 to 5x5 matrices of sparse polynomials in two variables, or of
+    series in them with q = e^{t2} truncated at q^2; entries may be zero."""
+    size = draw(st.integers(1, 5))
+    series = draw(st.booleans())
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    exps = st.tuples(*[st.integers(0, 2)] * (3 if series else 2))
+    terms = st.dictionaries(exps, coeffs, max_size=2)
+    if series:
+        entry = terms.map(lambda d: ExpSeries.from_q_poly(MultiPoly(3, d), 1, 2))
+    else:
+        entry = terms.map(lambda d: MultiPoly(2, d))
+    return [[draw(entry) for _ in range(size)] for _ in range(size)]
+
+
+@given(det_matrices())
+@settings(max_examples=80, deadline=None)
+def test_det_matches_cofactor_expansion(rows):
+    assert poly_mat_det(rows) == cofactor_det(rows)

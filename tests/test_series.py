@@ -171,3 +171,49 @@ def test_q_storage_matches_per_part_reference(case):
     assert sa.drop_degree_at_most(1) == series(dropped)
     expect = ref_evaluate(a, point, marker)
     assert abs(sa.evaluate(point) - expect) <= 1e-12 * max(1.0, abs(expect))
+
+
+# -- the fused sum of products against a plain sum of products ------------------
+
+@st.composite
+def series_dot_cases(draw):
+    """0-4 pairs of series of one (arity, marker, trunc) whose q-degrees reach
+    trunc, so products cross the cap; second factors may be polynomials or
+    integers, and a pair may be followed by its negation."""
+    arity = draw(st.integers(1, 3))
+    marker = draw(st.integers(0, arity - 1))
+    trunc = draw(st.integers(0, 3))
+    coeffs = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 5, 8]))
+    t_exps = st.tuples(*[st.integers(0, 2)] * arity)
+    q_exps = st.tuples(*[st.integers(0, 2)] * arity, st.integers(0, trunc))
+    series = st.dictionaries(q_exps, coeffs, max_size=3).map(
+        lambda d: ExpSeries.from_q_poly(MultiPoly(arity + 1, d), marker, trunc)
+    )
+    poly = st.dictionaries(t_exps, coeffs, max_size=3).map(lambda d: MultiPoly(arity, d))
+    other = st.one_of(series, poly, st.integers(-3, 3))
+    pairs = []
+    for a, b in draw(st.lists(st.tuples(series, other), max_size=4)):
+        pairs.append((a, b))
+        if draw(st.booleans()):
+            pairs.append((-a, b))
+    return ExpSeries(arity, marker, trunc), pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_dot_cases())
+def test_dot_matches_sum_of_products(case):
+    zero, pairs = case
+    got = zero.dot(pairs)
+    assert got == sum((a * b for a, b in pairs), zero)
+    assert got.poly.degree_in(zero.arity) <= zero.trunc
+
+
+def test_dot_truncates_once_at_the_end():
+    # e^{2 t2} * e^{2 t2} is beyond the cap q^3; t1 e^{t2} * e^{2 t2} is at it
+    high = term(2, (0, 0, 0), 1, trunc=3)
+    low = term(1, (1, 0, 0), Fraction(1, 2), trunc=3)
+    zero = high.zero_like()
+    assert zero.dot([(high, high)]).is_zero()
+    assert zero.dot([(high, high), (low, high), (low, 4)]) == low * high + low * 4
+    assert zero.dot([]) == zero
+    assert zero.dot([(high, zero), (zero, low)]).is_zero()
