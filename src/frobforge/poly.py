@@ -159,39 +159,19 @@ class MultiPoly:
             return self.scale(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        if self.arity != other.arity:
-            raise AlgebraError("arity mismatch in product")
-        if not (self.terms and other.terms):
-            return MultiPoly.zero(self.arity)
-        if not self.arity:
-            return self._raw(0, {(): self.terms[()] * other.terms[()]})
-        # integer numerators over one denominator per factor on exponents packed
-        # into one int, in a base no exponent sum reaches, so keys add without
-        # carries (Kronecker substitution; Monagan & Pearce, Maple 14, 2009)
-        base = 1 + max(map(max, self.terms)) + max(map(max, other.terms))
-        place = [base**i for i in range(self.arity)]
-        den_a, left = _packed_integer_terms(self.terms, place)
-        den_b, right = _packed_integer_terms(other.terms, place)
-        acc: dict[int, int] = {}
-        get = acc.get
-        for ka, na in left:
-            for kb, nb in right:
-                k = ka + kb
-                acc[k] = get(k, 0) + na * nb
-        den = den_a * den_b
-        return self._raw(self.arity, {
-            tuple([k // p % base for p in place]): Fraction(v, den) for k, v in acc.items() if v
-        })
+        return self.dot([(self, other)])
 
     __rmul__ = __mul__
 
     def dot(self, pairs) -> "MultiPoly":
         """Sum of a * b over the (a, b) pairs, in the ring of this element.
 
-        One fused sum of products: every pair is packed in one Kronecker base
-        and multiplied into one integer accumulator over one common
-        denominator, raised to the lcm when a pair's denominators need it, so
-        each surviving term becomes a Fraction once."""
+        One fused sum of products: exponents are packed into one int in a base
+        no exponent sum reaches, so keys add without carries (Kronecker
+        substitution), and every pair is multiplied into one integer
+        accumulator over one common denominator, raised to the lcm when a
+        pair's denominators need it, so each surviving term becomes a Fraction
+        once (Monagan & Pearce, Maple 14, 2009)."""
         coerce = self._coerce
         live, top = [], 0
         for a, b in pairs:

@@ -143,11 +143,9 @@ class ExpSeries:
         return -(self - other)
 
     def __mul__(self, other) -> "ExpSeries":
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if self._coerce(other) is NotImplemented:
             return NotImplemented
-        trunc = self.trunc
-        return self._like((self.poly * other).select(lambda e: e[-1] <= trunc))
+        return self.dot([(self, other)])
 
     __rmul__ = __mul__
 
