@@ -1,4 +1,4 @@
-"""Deformed flat coordinates as graded matrix series.
+"""Deformed flat coordinates as graded matrix series, with their pairing table.
 
 The deformed flat coordinate functions t~_l(t; z) = sum_p theta_l^(p) z^p obey
 
@@ -6,11 +6,18 @@ The deformed flat coordinate functions t~_l(t; z) = sum_p theta_l^(p) z^p obey
 
 Each step determines theta^(p+1) up to an affine function; normalizing every
 theta^(p) (p >= 1) to have no constant and no linear part makes the series
-unique and yields the exact pairing identity
+unique.  With Theta_p the eta-raised Jacobian of theta^(p) (so Theta_0 = Id)
+and Phi(z) = sum_p Theta_p z^p, the series stores the pairing table
 
-    sum_{a+b=p} (-1)^a Theta_a^T eta Theta_b = eta [p=0],
+    N(p, q) = Theta_q^T eta Theta_p,   the z^p w^q coefficient of Phi^T(w) eta Phi(z),
 
-where Theta_p is the eta-raised Jacobian of theta^(p) (so Theta_0 = Id).
+for p + q <= order.  Since N(q, p) = N(p, q)^T each unordered pair is formed
+once.  The pairing identity Phi^T(-z) eta Phi(z) = eta reads, order by order,
+
+    sum_a (-1)^a N(p - a, a) = eta [p=0],
+
+and the descendent table (descendents.omega_table) divides the same N by
+(z + w).
 """
 
 from __future__ import annotations
@@ -69,37 +76,37 @@ class DeformedFlatSeries:
     """Coefficients of the deformed flat coordinate system.
 
     ``thetas[p][l]`` is theta_l^(p); ``matrices[p]`` is Theta_p with entries
-    (Theta_p)^a_l = eta^{ab} d_b theta_l^(p), so matrices[0] is the identity.
+    (Theta_p)^a_l = eta^{ab} d_b theta_l^(p), so matrices[0] is the identity;
+    ``pairings[(p, q)]`` is N(p, q) = Theta_q^T eta Theta_p for p + q <= order.
     """
 
     order: int
     thetas: list[list[Potential]]
     matrices: list[list[list[Potential]]]
+    pairings: dict[tuple[int, int], list[list[Potential]]]
 
     def theta(self, p: int, lam: int) -> Potential:
         """theta_lam^(p) with 1-based lam."""
         return self.thetas[p][lam - 1]
 
-    def matrix(self, p: int) -> list[list[Potential]]:
-        return self.matrices[p]
+
+def _combine(ring: Potential, coefs, elements) -> Potential:
+    """sum_g coefs[g] elements[g] for rational coefs, in the ring of ``ring``."""
+    return ring.dot((ring.const_like(k), x) for k, x in zip(coefs, elements))
 
 
-def deformed_flat_coordinates(chart: FMChart, order: int) -> DeformedFlatSeries:
-    """Solve the gradient recursion up to z^order.
+def deformed_thetas(chart: FMChart, order: int) -> list[list[Potential]]:
+    """theta^(p) for p = 0..order: the gradient recursion solved up to z^order.
 
     An inconsistent recursion (mixed partials of the candidate differing from
     the prescribed Hessian) signals a WDVV failure upstream and raises."""
+    if order < 0:
+        raise AlgebraError(f"deformed flat series order must be >= 0, got {order}")
     n = chart.n
     c = structure_constants(chart)
-    eta_inv = chart.eta_inv
     zero = chart.potential.zero_like()
-
-    def combine(coefs, elements) -> Potential:
-        """sum_g coefs[g] elements[g] for rational coefs."""
-        return zero.dot((zero.const_like(k), x) for k, x in zip(coefs, elements))
-
     t = [zero.var_like(g) for g in range(n)]
-    thetas: list[list[Potential]] = [[combine(chart.eta[lam], t) for lam in range(n)]]
+    thetas: list[list[Potential]] = [[_combine(zero, chart.eta[lam], t) for lam in range(n)]]
     for p in range(order):
         prev = thetas[-1]
         new_level = []
@@ -119,55 +126,62 @@ def deformed_flat_coordinates(chart: FMChart, order: int) -> DeformedFlatSeries:
                     f"component {lam + 1}: {exc}"
                 ) from exc
         thetas.append(new_level)
+    return thetas
 
+
+def deformed_flat_coordinates(chart: FMChart, order: int) -> DeformedFlatSeries:
+    """The series up to z^order: deformed_thetas, their eta-raised Jacobians
+    and the pairing table."""
+    thetas = deformed_thetas(chart, order)
+    n = chart.n
     matrices = []
     for level in thetas:
         grads = [[theta.diff(b) for b in range(n)] for theta in level]
-        matrices.append([[combine(eta_inv[a], g) for g in grads] for a in range(n)])
-    return DeformedFlatSeries(order, thetas, matrices)
+        matrices.append(
+            [[_combine(chart.potential, chart.eta_inv[a], g) for g in grads] for a in range(n)]
+        )
 
-
-def _signed_pairings(chart: FMChart, terms) -> list[list[Potential]]:
-    """sum of w A^T eta B over the (w, A, B) in ``terms``, each entry
-    (al, be) one fused sum over (A, i, j) of w eta_{ij} A[i][al] B[j][be]."""
-    n = chart.n
-    eta = [(i, j, chart.eta[i][j]) for i in range(n) for j in range(n) if chart.eta[i][j]]
-    return [
-        [
-            chart.potential.dot(
-                (A[i][al].scale(w * e), B[j][be]) for w, A, B in terms for i, j, e in eta
-            )
-            for be in range(n)
-        ]
-        for al in range(n)
-    ]
+    # N(q, p) = N(p, q)^T; the diagonal p = q keeps its block as formed
+    pairings = {}
+    for p in range(order // 2 + 1):
+        for q in range(p, order + 1 - p):
+            block = eta_pairing(chart, matrices[q], matrices[p])
+            pairings[(q, p)] = [list(col) for col in zip(*block)]
+            pairings[(p, q)] = block
+    return DeformedFlatSeries(order, thetas, matrices, pairings)
 
 
 def eta_pairing(
     chart: FMChart, A: list[list[Potential]], B: list[list[Potential]]
 ) -> list[list[Potential]]:
-    """The matrix A^T eta B: entry (al, be) is sum_{ij} A[i][al] eta_{ij} B[j][be]."""
-    return _signed_pairings(chart, [(1, A, B)])
+    """The matrix A^T eta B: entry (al, be) is one fused sum over the nonzero
+    eta_{ij} of A[i][al] eta_{ij} B[j][be]."""
+    n = chart.n
+    eta = [(i, j, chart.eta[i][j]) for i in range(n) for j in range(n) if chart.eta[i][j]]
+    return [
+        [chart.potential.dot((A[i][al].scale(e), B[j][be]) for i, j, e in eta) for be in range(n)]
+        for al in range(n)
+    ]
+
+
+def _require_order(series: DeformedFlatSeries, p: int) -> None:
+    if not 0 <= p <= series.order:
+        raise AlgebraError(f"pairing order {p} outside 0..{series.order} of the series")
 
 
 def pairing_defect(chart: FMChart, series: DeformedFlatSeries, p: int) -> list[list[Potential]]:
-    """sum_{a+b=p} (-1)^a Theta_a^T eta Theta_b minus eta [p=0]; zero when the
-    series satisfies the pairing identity at order p."""
-    M = series.matrices
-    out = _signed_pairings(chart, [((-1) ** a, M[a], M[p - a]) for a in range(p + 1)])
-    if p == 0:
-        out = [
-            [x - chart.potential.const_like(e) for x, e in zip(row, eta_row)]
-            for row, eta_row in zip(out, chart.eta)
-        ]
+    """sum_a (-1)^a N(p - a, a) minus eta [p=0] over the stored pairing table;
+    zero when the series satisfies the pairing identity at order p."""
+    _require_order(series, p)
+    out = [[chart.potential.const_like(-e if p == 0 else 0) for e in row] for row in chart.eta]
+    for a in range(p + 1):
+        for row, block_row in zip(out, series.pairings[(p - a, a)]):
+            for b, x in enumerate(block_row):
+                row[b] = row[b] - x if a % 2 else row[b] + x
     return out
 
 
 def pairing_holds(chart: FMChart, series: DeformedFlatSeries, through_order: int) -> bool:
-    for p in range(through_order + 1):
-        defect = pairing_defect(chart, series, p)
-        for row in defect:
-            for entry in row:
-                if not entry.is_zero():
-                    return False
-    return True
+    _require_order(series, through_order)
+    defects = (pairing_defect(chart, series, p) for p in range(through_order + 1))
+    return all(entry.is_zero() for defect in defects for row in defect for entry in row)

@@ -8,9 +8,16 @@ The generating matrix
 
 is divisible by (z + w) exactly because of the pairing identity
 Phi^T(-z) eta Phi(z) = eta; its coefficients Omega_{a,p;b,q} are symmetric
-under (a,p) <-> (b,q).  The first-Hamiltonian-structure flows are evolutionary
-systems d_T t = A(t) t_X whose matrices come from the Hamiltonian densities
-theta^(p+1)_a:
+under (a,p) <-> (b,q).  The numerator's z^p w^q coefficients are the deformed
+series' pairing table N(p, q) = Theta_q^T eta Theta_p, so the division is
+synthetic division on that table, one total degree at a time:
+
+    Omega_{p,0} = N(p+1, 0),    Omega_{p,q} = N(p+1, q) - Omega_{p+1,q-1},
+
+and the remainder checks N(0, 0) = eta and N(0, m) = Omega_{0,m-1} hold
+exactly iff the division leaves nothing over.  The first-Hamiltonian-structure
+flows are evolutionary systems d_T t = A(t) t_X whose matrices come from the
+Hamiltonian densities theta^(p+1)_a:
 
     A^g_e = eta^{gb} d_b d_e theta^(p+1)_a,
 
@@ -25,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import FMChart, Potential
-from .deformed import DeformedFlatSeries, deformed_flat_coordinates, eta_pairing
+from .deformed import DeformedFlatSeries, deformed_flat_coordinates, deformed_thetas
 from .errors import AlgebraError, NumericError
-from .frames import ChartEvaluator, canonical_coordinates
+from .frames import _as_evaluator, canonical_coordinates
 from .isomonodromy import GValue, g_function
 from .poly import MultiPoly
 
@@ -48,55 +55,42 @@ class DescendentTable:
 def omega_table(
     chart: FMChart, order: int, series: DeformedFlatSeries | None = None
 ) -> DescendentTable:
-    """Exact division of Phi^T(w) eta Phi(z) - eta by (z + w).
+    """Exact division of Phi^T(w) eta Phi(z) - eta by (z + w), by synthetic
+    division of the series' pairing table N.
 
     Needs the deformed flat series to order ``order``+1; failure of the
     division (checked exactly) signals broken pairing upstream."""
-    n = chart.n
+    if order < 0:
+        raise AlgebraError(f"descendent table order must be >= 0, got {order}")
     if series is None:
         series = deformed_flat_coordinates(chart, order + 1)
     elif series.order < order + 1:
         raise AlgebraError("deformed flat series order too low for this table")
-    zero = chart.potential.zero_like()
-    sign = (zero.const_like(1), zero.const_like(-1))
+    N = series.pairings
 
-    def n_block(p: int, q: int) -> list[list[Potential]]:
-        # coefficient of z^p w^q in Phi^T(w) eta Phi(z) - eta
-        out = eta_pairing(chart, series.matrices[q], series.matrices[p])
-        if p == 0 and q == 0:
-            for a in range(n):
-                for b in range(n):
-                    out[a][b] = out[a][b] - chart.potential.const_like(chart.eta[a][b])
-        return out
-
-    cache: dict[tuple[int, int], list[list[Potential]]] = {}
-
-    def n_of(p: int, q: int):
-        if (p, q) not in cache:
-            cache[(p, q)] = n_block(p, q)
-        return cache[(p, q)]
-
-    # divisibility: the alternating diagonal sums of N must vanish
-    for m in range(order + 2):
-        for a in range(n):
-            for b in range(n):
-                acc = zero.dot((n_of(p, m - p)[a][b], sign[(m - p) % 2]) for p in range(m + 1))
-                if not acc.is_zero():
+    def require_equal(m: int, lhs, rhs) -> None:
+        for a, (lhs_row, rhs_row) in enumerate(zip(lhs, rhs)):
+            for b, (x, y) in enumerate(zip(lhs_row, rhs_row)):
+                if x != y:
                     raise AlgebraError(
                         "(z+w)-division failed: pairing identity broken at "
                         f"order {m}, entry ({a + 1},{b + 1})"
                     )
 
+    # the z^P w^Q coefficient of (z + w) Omega = N - eta is
+    # Omega_{P-1,Q} + Omega_{P,Q-1}; at P = 0 it leaves N(0, 0) = eta and
+    # N(0, m) = Omega_{0,m-1}, the remainder checks of the division
+    require_equal(0, N[(0, 0)], chart.eta)
     blocks: dict[tuple[int, int], list[list[Potential]]] = {}
-    for p in range(order + 1):
-        for q in range(order + 1 - p):
-            blocks[(p, q)] = [
-                [
-                    zero.dot((n_of(p + 1 + j, q - j)[a][b], sign[j % 2]) for j in range(q + 1))
-                    for b in range(n)
-                ]
-                for a in range(n)
+    for d in range(order + 1):
+        blocks[(d, 0)] = [row[:] for row in N[(d + 1, 0)]]
+        for q in range(1, d + 1):
+            prev = blocks[(d - q + 1, q - 1)]
+            blocks[(d - q, q)] = [
+                [x - y for x, y in zip(row, prev_row)]
+                for row, prev_row in zip(N[(d - q + 1, q)], prev)
             ]
+        require_equal(d + 1, N[(0, d + 1)], blocks[(0, d)])
     return DescendentTable(order, blocks)
 
 
@@ -127,13 +121,12 @@ def hierarchy_flow(
         raise AlgebraError("alpha out of range")
     if p < 0:
         raise AlgebraError("p must be >= 0")
-    if series is None:
-        series = deformed_flat_coordinates(chart, p + 1)
-    elif series.order < p + 1:
+    if series is not None and series.order < p + 1:
         raise AlgebraError("deformed flat series order too low for this flow")
+    thetas = deformed_thetas(chart, p + 1) if series is None else series.thetas
+    density = thetas[p + 1][alpha - 1]
     n = chart.n
     eta_inv = chart.eta_inv
-    density = series.theta(p + 1, alpha)
     grads = [density.diff(b) for b in range(n)]
     P = chart.potential
     hessian = [[grad.diff(e) for e in range(n)] for grad in grads]
@@ -216,18 +209,12 @@ class Genus1Value:
         return self.g_value.delta_g + self.log_det_m / 24
 
 
-def genus1_restricted(
-    chart: FMChart,
-    t,
-    tdot,
-    tol: float = 1e-9,
-    base_point=None,
-    evaluator: ChartEvaluator | None = None,
-) -> Genus1Value:
-    """Restricted genus-1 free energy at (t, tdot) relative to ``base_point``.
+def genus1_restricted(chart, t, tdot, tol: float = 1e-9, base_point=None) -> Genus1Value:
+    """Restricted genus-1 free energy at (t, tdot) relative to ``base_point``;
+    ``chart`` is an FMChart or a ChartEvaluator.
 
     Requires t semisimple and M nonsingular."""
-    ev = evaluator if evaluator is not None else ChartEvaluator(chart)
+    ev = _as_evaluator(chart)
     tt = np.array([complex(x) for x in t], dtype=complex)
     td = np.array([complex(x) for x in tdot], dtype=complex)
     canonical_coordinates(ev, tt)  # semisimplicity gate

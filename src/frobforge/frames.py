@@ -155,10 +155,6 @@ class CanonicalFrame:
         return len(self.u)
 
     @property
-    def U(self) -> np.ndarray:
-        return np.diag(self.u)
-
-    @property
     def psi1(self) -> np.ndarray:
         """Column psi_{i1}: principal square roots of the idempotent norms."""
         return np.sqrt(self.norms.astype(complex))

@@ -26,8 +26,8 @@ import numpy as np
 from .errors import NumericError
 from .frames import (
     DEFAULT_MARGIN,
-    ChartEvaluator,
     CanonicalFrame,
+    _as_evaluator,
     _over_gaps,
     _pairs,
     _require_separated,
@@ -257,7 +257,7 @@ def g_function(
     V(u) is read off the chart's own frames at quadrature nodes (no ODE
     drift); log J is accumulated through branch-tracked ratios of Jacobian
     determinants with a continuity-matched labeling of the u's."""
-    ev = chart if isinstance(chart, ChartEvaluator) else ChartEvaluator(chart)
+    ev = _as_evaluator(chart)
     t0 = np.array([complex(x) for x in t0], dtype=complex)
     t1 = np.array([complex(x) for x in t1], dtype=complex)
     dt = t1 - t0

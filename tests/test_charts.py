@@ -13,6 +13,7 @@ from frobforge.charts import (
 )
 from frobforge.deformed import (
     deformed_flat_coordinates,
+    pairing_defect,
     pairing_holds,
     potential_from_hessian,
 )
@@ -239,6 +240,18 @@ def test_deformed_flat_pairing_small_orders():
     chart = split_cubic()
     series = deformed_flat_coordinates(chart, 4)
     assert pairing_holds(chart, series, 4)
+
+
+def test_deformed_series_and_pairing_order_bounds():
+    chart = split_cubic()
+    with pytest.raises(AlgebraError, match="order must be >= 0"):
+        deformed_flat_coordinates(chart, -1)
+    series = deformed_flat_coordinates(chart, 2)
+    for p in (-1, 3):
+        with pytest.raises(AlgebraError, match="outside 0..2"):
+            pairing_defect(chart, series, p)
+        with pytest.raises(AlgebraError, match="outside 0..2"):
+            pairing_holds(chart, series, p)
 
 
 def test_hessian_reconstruction_rejects_nonintegrable():

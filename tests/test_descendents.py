@@ -1,10 +1,15 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from frobforge.charts import FMChart, structure_constants
-from frobforge.deformed import deformed_flat_coordinates
+from frobforge.deformed import (
+    deformed_flat_coordinates,
+    eta_pairing,
+    pairing_holds,
+)
 from frobforge.descendents import (
     flow_commutator_jets,
     genus1_restricted,
@@ -12,6 +17,7 @@ from frobforge.descendents import (
     omega_table,
 )
 from frobforge.errors import AlgebraError
+from frobforge.frames import ChartEvaluator
 from frobforge.linalg import frac_matrix
 from frobforge.poly import MultiPoly
 from frobforge.projective import build_p2_chart
@@ -112,6 +118,59 @@ def test_table_order_bounds():
         table.omega(1, 2, 1, 1)
 
 
+def test_table_rejects_a_negative_order():
+    with pytest.raises(AlgebraError, match="order must be >= 0"):
+        omega_table(split_cubic(), -1)
+
+
+def pairing_oracle(chart, matrices, order):
+    """N(p, q) = Theta_q^T eta Theta_p for every ordered p + q <= order."""
+    return {
+        (p, q): eta_pairing(chart, matrices[q], matrices[p])
+        for p in range(order + 1)
+        for q in range(order + 1 - p)
+    }
+
+
+@pytest.mark.parametrize("build, order", [
+    (lambda: build_an_chart(3), 4),
+    (lambda: build_p2_chart(3), 4),
+], ids=["A3", "P2@3"])
+def test_table_blocks_are_alternating_pairing_sums(build, order):
+    chart = build()
+    series = deformed_flat_coordinates(chart, order + 1)
+    N = pairing_oracle(chart, series.matrices, order + 1)
+    assert series.pairings == N
+    for (p, q), block in series.pairings.items():
+        assert block == [list(col) for col in zip(*series.pairings[(q, p)])]
+    table = omega_table(chart, order, series)
+    zero = chart.potential.zero_like()
+    for (p, q), block in table.blocks.items():
+        for a, row in enumerate(block):
+            for b, entry in enumerate(row):
+                want = sum(
+                    (N[(p + 1 + j, q - j)][a][b].scale((-1) ** j) for j in range(q + 1)), zero
+                )
+                assert entry == want
+
+
+def test_tampered_series_fails_the_pairing_checks():
+    # the negative control: t^1 added to (Theta_2)^1_2 breaks the pairing
+    # identity from order 2 on, first at entry (2,3) of Theta_2^T eta + eta Theta_2
+    chart = build_an_chart(3)
+    series = deformed_flat_coordinates(chart, 5)
+    matrices = [[row[:] for row in M] for M in series.matrices]
+    matrices[2][0][1] = matrices[2][0][1] + chart.potential.var_like(0)
+    broken = dataclasses.replace(
+        series, matrices=matrices, pairings=pairing_oracle(chart, matrices, 5)
+    )
+    assert pairing_holds(chart, series, 4)
+    assert not pairing_holds(chart, broken, 4)
+    omega_table(chart, 3, series)
+    with pytest.raises(AlgebraError, match=r"order 2, entry \(2,3\)"):
+        omega_table(chart, 3, broken)
+
+
 def test_translation_flow_is_identity():
     chart = build_an_chart(2)
     flow = hierarchy_flow(chart, 1, 0)
@@ -188,6 +247,15 @@ def test_genus1_velocity_scaling_shift():
     v1 = genus1_restricted(chart, point, tdot, base_point=base)
     v2 = genus1_restricted(chart, point, [lam * x for x in tdot], base_point=base)
     assert abs((v2.value - v1.value) - 3 / 24 * np.log(lam)) < 1e-9
+
+
+def test_genus1_accepts_an_evaluator():
+    chart = build_an_chart(3)
+    args = ([0.2, 0.4, 1.1], [0.3, -0.7, 0.5])
+    base = [0.3, 0.5, 1.2]
+    v1 = genus1_restricted(chart, *args, base_point=base)
+    v2 = genus1_restricted(ChartEvaluator(chart), *args, base_point=base)
+    assert v1.value == v2.value
 
 
 def test_p2_flows_exist_through_low_orders():

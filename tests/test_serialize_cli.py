@@ -296,6 +296,16 @@ def test_cli_algebra_error_exit_code(argv, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_descendents_negative_order_is_algebra_error(tmp_path, capsys):
+    chart_path = tmp_path / "a3.json"
+    main(["an-build", "--n", "3", "--out", str(chart_path)])
+    capsys.readouterr()
+    assert main(["descendents", "--chart", str(chart_path), "--order", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("algebra-error: ")
+    assert captured.out == ""
+
+
 def test_python_m_frobforge_runs_the_cli():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
