@@ -310,12 +310,12 @@ def criterion_10(seed: int = 0) -> CriterionResult:
 
 def criterion_11(seed: int = 0) -> CriterionResult:
     data = pd_monodromy(1, dps=30)
-    rep = check_compatibility(data, tol=1e-8)
+    rep = check_compatibility(data)
     bad = pd_monodromy(1, dps=30)
     C = bad.connection.copy()
     C[0, 0] = C[0, 0] + 1e-3
     bad.connection = C
-    rep_bad = check_compatibility(bad, tol=1e-8)
+    rep_bad = check_compatibility(bad)
     ok = rep.passed and not rep_bad.passed
     return CriterionResult(
         11, "P1 monodromy compatibility at 30 digits", ok,

@@ -9,6 +9,9 @@ Diagnostics go to stderr with a distinguishing prefix (``usage-error:``,
 to stdout or files.
 The FROBFORGE_PRECISION environment variable sets the default working
 precision in decimal digits (default 30) for connection-matrix arithmetic.
+A tolerance (``--tol``, ``an-critical --precision``) must be finite and > 0,
+a digit count (``connection pd --precision``, FROBFORGE_PRECISION) an integer
+>= 15; anything else exits 1 with ``schema-error:`` before any work.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .descendents import hierarchy_flow, omega_table
 from .errors import AlgebraError, NumericError, ValidationError
 from .frames import canonical_frame
 from .isomonodromy import IsomonodromyState, g_function, integrate
-from .monodromy import braid_orbit, braid_word, check_compatibility, default_dps, pd_connection
+from .monodromy import braid_orbit, braid_word, check_compatibility, pd_connection
 from .projective import build_p2_chart, pd_classical_data, pd_stokes
 from .unfolding import Unfolding, build_an_chart, critical_values
 
@@ -241,10 +244,9 @@ def _cmd_stokes_pd(args):
 
 
 def _cmd_connection_pd(args):
-    dps = args.precision or default_dps()
-    conn = pd_connection(args.d, dps)
-    data = conn.monodromy_data()
-    rep = check_compatibility(data, tol=1e-8)
+    conn = pd_connection(args.d, args.precision)
+    dps = conn.dps
+    rep = check_compatibility(conn.monodromy_data())
 
     def mat(m):
         return [
@@ -390,7 +392,7 @@ def build_parser() -> _Parser:
     co_sub = co.add_subparsers(dest="subcommand", required=True)
     q = co_sub.add_parser("pd", help="central connection data of P^d")
     q.add_argument("--d", type=int, required=True)
-    q.add_argument("--precision", type=int, help="working precision in decimal digits")
+    q.add_argument("--precision", type=int, help="working precision in decimal digits, at least 15")
     q.add_argument("--out")
     q.set_defaults(fn=_cmd_connection_pd)
 

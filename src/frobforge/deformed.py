@@ -50,7 +50,7 @@ def potential_from_gradient(components: list[Potential]) -> Potential:
     return acc
 
 
-def potential_from_hessian(hess: list[list[Potential]], verify: bool = True) -> Potential:
+def potential_from_hessian(hess: list[list[Potential]]) -> Potential:
     """Reconstruct H with d_a d_b H = hess[a][b], normalized to zero affine part.
 
     Raises AlgebraError if the candidate fails to reproduce the Hessian
@@ -59,15 +59,14 @@ def potential_from_hessian(hess: list[list[Potential]], verify: bool = True) -> 
     grads = [potential_from_gradient(list(hess[a])) for a in range(n)]
     h = potential_from_gradient(grads)
     h = h.drop_degree_at_most(1)
-    if verify:
-        for a in range(n):
-            da = h.diff(a)
-            for b in range(a, n):
-                if da.diff(b) != hess[a][b]:
-                    raise AlgebraError(
-                        f"Hessian reconstruction failed at ({a + 1},{b + 1}); "
-                        "input is not an integrable symmetric tensor"
-                    )
+    for a in range(n):
+        da = h.diff(a)
+        for b in range(a, n):
+            if da.diff(b) != hess[a][b]:
+                raise AlgebraError(
+                    f"Hessian reconstruction failed at ({a + 1},{b + 1}); "
+                    "input is not an integrable symmetric tensor"
+                )
     return h
 
 

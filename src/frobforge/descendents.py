@@ -209,11 +209,11 @@ class Genus1Value:
         return self.g_value.delta_g + self.log_det_m / 24
 
 
-def genus1_restricted(chart, t, tdot, tol: float = 1e-9, base_point=None) -> Genus1Value:
-    """Restricted genus-1 free energy at (t, tdot) relative to ``base_point``;
-    ``chart`` is an FMChart or a ChartEvaluator.
-
-    Requires t semisimple and M nonsingular."""
+def genus1_restricted(chart, t, tdot, base_point) -> Genus1Value:
+    """Restricted genus-1 free energy at (t, tdot); its G part is the
+    g_function difference from ``base_point`` at the default tolerance.
+    ``chart`` is an FMChart or a ChartEvaluator.  Requires t semisimple and M
+    nonsingular."""
     ev = _as_evaluator(chart)
     tt = np.array([complex(x) for x in t], dtype=complex)
     td = np.array([complex(x) for x in tdot], dtype=complex)
@@ -222,9 +222,7 @@ def genus1_restricted(chart, t, tdot, tol: float = 1e-9, base_point=None) -> Gen
     det = complex(np.linalg.det(M))
     if abs(det) < 1e-13:
         raise NumericError("velocity matrix M is singular at this point")
-    if base_point is None:
-        raise AlgebraError("genus1_restricted needs a base point for the G part")
-    gv = g_function(ev, base_point, tt, tol=tol)
+    gv = g_function(ev, base_point, tt)
     return Genus1Value(
         tuple(complex(x) for x in tt),
         tuple(complex(x) for x in td),

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import math
+
 
 class FrobforgeError(Exception):
     """Base class for all package-specific errors."""
@@ -21,3 +23,9 @@ class NumericError(FrobforgeError):
 class SemisimplicityError(NumericError):
     """Coinciding canonical coordinates: the point is not in the semisimple
     stratum at the working tolerance."""
+
+
+def require_positive(value: float, name: str) -> None:
+    """Raise ValidationError unless ``value`` is a finite number > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be finite and > 0, got {value!r}")

@@ -24,6 +24,7 @@ from .errors import NumericError, SemisimplicityError
 from .series import ExpSeries
 
 DEFAULT_MARGIN = 1e-6
+FRAME_TOL = 1e-8  # largest |Psi^T Psi - eta| a frame may carry
 
 
 def _compile(polys):
@@ -140,7 +141,6 @@ def _require_separated(
 class CanonicalFrame:
     """Frame data (u, Psi, V) of a chart at one semisimple point."""
 
-    point: tuple[complex, ...]
     u: np.ndarray              # canonical coordinates, in frame order
     psi: np.ndarray            # rows i: psi_{ia}
     mu_diag: tuple[Fraction, ...]
@@ -171,9 +171,7 @@ def _product(c: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return (X[:, :, None] * Y[:, None, :]).reshape(len(X), n * n) @ c.reshape(n * n, n)
 
 
-def canonical_frame(
-    chart, t, margin: float = DEFAULT_MARGIN, frame_tol: float | None = 1e-8
-) -> CanonicalFrame:
+def canonical_frame(chart, t) -> CanonicalFrame:
     """Idempotent frame, Psi matrix and V at a semisimple point.
 
     Raw eigenvectors of the (generally non-normal) multiplication operator
@@ -183,8 +181,9 @@ def canonical_frame(
 
     The residual of Psi^T Psi = eta measures the frame quality; it can only
     be large when the multiplication itself fails to be associative at the
-    point (e.g. far outside the reliable domain of a truncated potential),
-    and ``frame_tol`` (set None to disable) turns that into a hard error."""
+    point (e.g. far outside the reliable domain of a truncated potential);
+    a residual above FRAME_TOL is always a hard error.  Canonical coordinates
+    closer than DEFAULT_MARGIN * max|u| raise SemisimplicityError."""
     ev = _as_evaluator(chart)
     n = ev.n
     tt = _as_point(t)
@@ -192,7 +191,7 @@ def canonical_frame(
     e_vec = ev.euler(tt)
     M = np.einsum("a,abg->gb", e_vec, c)
     w, vecs = np.linalg.eig(M)
-    _require_separated(w, margin)
+    _require_separated(w, DEFAULT_MARGIN)
 
     # rows of P are the candidate idempotents, purified together
     rows = np.arange(n)
@@ -215,7 +214,7 @@ def canonical_frame(
 
     order = np.lexsort((refined_u.imag, refined_u.real))
     u = refined_u[order]
-    _require_separated(u, margin)
+    _require_separated(u, DEFAULT_MARGIN)
     idem = P[order]
 
     lowered = idem @ ev.eta
@@ -225,7 +224,7 @@ def canonical_frame(
     psi = lowered / np.sqrt(norms)[:, None]
 
     defect = float(np.abs(psi.T @ psi - ev.eta).max())
-    if frame_tol is not None and defect > frame_tol:
+    if defect > FRAME_TOL:
         raise NumericError(
             f"frame breakdown: |Psi^T Psi - eta| = {defect:.2e} at this point "
             "(the multiplication is not associative to working accuracy here; "
@@ -238,7 +237,6 @@ def canonical_frame(
     v = (v - v.T) / 2
 
     return CanonicalFrame(
-        point=tuple(complex(x) for x in tt),
         u=u,
         psi=psi,
         mu_diag=ev.mu_diag,
@@ -272,14 +270,8 @@ def _over_gaps(u: np.ndarray, V: np.ndarray) -> np.ndarray:
     return R
 
 
-def vi_matrices(u, V=None) -> ViSet:
-    """(V_i)_{jk} = (delta_{ij} V_{ik} - delta_{ik} V_{ji}) / (u_j - u_k).
-
-    Accepts either (u, V) arrays or a single CanonicalFrame."""
-    if V is None:
-        if not isinstance(u, CanonicalFrame):
-            raise NumericError("vi_matrices needs (u, V) or a CanonicalFrame")
-        u, V = u.u, u.v
+def vi_matrices(u, V) -> ViSet:
+    """(V_i)_{jk} = (delta_{ij} V_{ik} - delta_{ik} V_{ji}) / (u_j - u_k)."""
     u = np.asarray(u, dtype=complex)
     V = np.asarray(V, dtype=complex)
     n = len(u)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, require_positive
 from .frames import (
     DEFAULT_MARGIN,
     CanonicalFrame,
@@ -74,13 +74,9 @@ class IsomonodromyState:
         return skew_from_upper(self.n, np.array(self.v_upper))
 
 
-def _hamiltonians(u: np.ndarray, V: np.ndarray) -> np.ndarray:
-    return 0.5 * (V * _over_gaps(u, V)).sum(axis=1)
-
-
-def hamiltonians(state: IsomonodromyState) -> np.ndarray:
+def hamiltonians(u: np.ndarray, V: np.ndarray) -> np.ndarray:
     """H_i = 1/2 sum_{j != i} V_ij^2 / (u_i - u_j); their sum vanishes."""
-    return _hamiltonians(np.array(state.u), state.v_matrix)
+    return 0.5 * (V * _over_gaps(u, V)).sum(axis=1)
 
 
 def flow_rhs(i: int, state: IsomonodromyState) -> np.ndarray:
@@ -114,6 +110,7 @@ _DP_A = tuple(np.array(row) for row in (
 ))
 _DP_B5 = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0))
 _DP_B4 = np.array((5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40))
+MAX_STEPS = 200_000  # accepted plus rejected steps before integrate gives up
 
 
 @dataclass
@@ -130,7 +127,6 @@ class IsomonodromyTrajectory:
     samples: list[TrajectorySample] = field(default_factory=list)
     steps: int = 0
     rejected: int = 0
-    tol: float = 0.0
 
     @property
     def final_state(self) -> IsomonodromyState:
@@ -142,26 +138,22 @@ class IsomonodromyTrajectory:
         return self.samples[-1].log_tau
 
 
-def integrate(
-    state0: IsomonodromyState,
-    path,
-    tol: float = 1e-10,
-    margin: float = DEFAULT_MARGIN,
-    max_steps: int = 200_000,
-) -> IsomonodromyTrajectory:
+def integrate(state0: IsomonodromyState, path, tol: float = 1e-10) -> IsomonodromyTrajectory:
     """Integrate dV = sum_i [V_i, V] du_i along a piecewise-linear u-path.
 
     ``path`` is a sequence of u-waypoints starting the continuation from
-    state0.u; log tau accumulates through the same error-controlled steps.
-    Steps are rejected both on local-error grounds and when the semisimple
-    margin min|u_i - u_j| > margin * max|u| would be violated."""
+    state0.u; log tau accumulates through the same error-controlled steps,
+    whose local error is held below ``tol`` (finite, > 0).  A step that would
+    bring two u_i within DEFAULT_MARGIN * max|u| raises SemisimplicityError,
+    and more than MAX_STEPS steps raise NumericError."""
+    require_positive(tol, "tol")
     n = state0.n
     u0 = np.array(state0.u, dtype=complex)
     waypoints = [np.array([complex(x) for x in w], dtype=complex) for w in path]
     if not waypoints or not np.allclose(waypoints[0], u0):
         waypoints = [u0] + waypoints
 
-    traj = IsomonodromyTrajectory(tol=tol)
+    traj = IsomonodromyTrajectory()
     y = np.concatenate([np.array(state0.v_upper, dtype=complex), [0j]])
     n_upper = n * (n - 1) // 2
     upper = _pairs(n)
@@ -173,12 +165,12 @@ def integrate(
                 param,
                 tuple(u),
                 tuple(yv[:n_upper]),
-                tuple(_hamiltonians(u, V)),
+                tuple(hamiltonians(u, V)),
                 complex(yv[n_upper]),
             )
         )
 
-    _require_separated(u0, margin, "path hits a caustic")
+    _require_separated(u0, DEFAULT_MARGIN, "path hits a caustic")
     record(0.0, u0, y)
 
     for seg in range(len(waypoints) - 1):
@@ -192,12 +184,12 @@ def integrate(
         s = 0.0
         h = 0.1
         while s < 1.0:
-            if traj.steps + traj.rejected > max_steps:
+            if traj.steps + traj.rejected > MAX_STEPS:
                 raise NumericError("step limit exceeded")
             h = min(h, 1.0 - s)
             if h < 1e-14:
                 raise NumericError("step-size underflow (likely near a caustic)")
-            _require_separated(ua + (s + h) * du, margin, "path hits a caustic")
+            _require_separated(ua + (s + h) * du, DEFAULT_MARGIN, "path hits a caustic")
             k = np.empty((7, len(y)), dtype=complex)
             k[0] = rhs(s, y)
             for stage in range(1, 7):
@@ -221,6 +213,7 @@ def integrate(
 # -- chart-driven G-function ---------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+MAX_LEVEL = 12  # finest dyadic level of the tau quadrature and the log J grid
 
 
 @dataclass
@@ -244,19 +237,15 @@ class GValue:
         return self.d_log_tau - self.d_log_j / 24
 
 
-def g_function(
-    chart,
-    t0,
-    t1,
-    tol: float = 1e-9,
-    margin: float = DEFAULT_MARGIN,
-    max_level: int = 12,
-) -> GValue:
+def g_function(chart, t0, t1, tol: float = 1e-9) -> GValue:
     """Delta G = Delta log tau - (1/24) Delta log J along the straight t-segment.
 
     V(u) is read off the chart's own frames at quadrature nodes (no ODE
     drift); log J is accumulated through branch-tracked ratios of Jacobian
-    determinants with a continuity-matched labeling of the u's."""
+    determinants with a continuity-matched labeling of the u's.  The tau
+    quadrature doubles its panels from 2^2 until two levels agree to ``tol``
+    (finite, > 0), and neither it nor the log J grid goes past 2^MAX_LEVEL."""
+    require_positive(tol, "tol")
     ev = _as_evaluator(chart)
     t0 = np.array([complex(x) for x in t0], dtype=complex)
     t1 = np.array([complex(x) for x in t1], dtype=complex)
@@ -265,19 +254,19 @@ def g_function(
 
     def frame_at(sig: float) -> CanonicalFrame:
         if sig not in cache:
-            cache[sig] = canonical_frame(ev, t0 + sig * dt, margin)
+            cache[sig] = canonical_frame(ev, t0 + sig * dt)
         return cache[sig]
 
     def integrand(sig: float) -> complex:
         fr = frame_at(sig)
         # du_i/dsig from dt = idempotents^T du
         udot = np.linalg.solve(fr.idempotents.T, dt)
-        H = _hamiltonians(fr.u, fr.v)
+        H = hamiltonians(fr.u, fr.v)
         return complex(np.dot(H, udot))
 
-    def quad(levels_from: int = 2):
+    def quad():
         prev = None
-        for level in range(levels_from, max_level + 1):
+        for level in range(2, MAX_LEVEL + 1):
             panels = 2**level
             total = 0j
             for p in range(panels):
@@ -297,7 +286,7 @@ def g_function(
     d_log_tau, level = quad()
 
     # branch-tracked log J on a dyadic grid at least as fine as the quadrature
-    for jlevel in range(max(level, 3), max_level + 1):
+    for jlevel in range(max(level, 3), MAX_LEVEL + 1):
         grid = [k / 2**jlevel for k in range(2**jlevel + 1)]
         fr_prev = frame_at(grid[0])
         d_log_j = 0j

@@ -45,16 +45,22 @@ import mpmath as mp
 
 from .errors import AlgebraError, ValidationError
 from .linalg import mat_inverse, mat_mul, mat_transpose
-from .projective import PdClassicalData, pd_classical_data, pd_stokes
+from .projective import pd_classical_data, pd_stokes
 
 Matrix = list[list[int | Fraction]]
+MIN_DPS = 15  # fewest working digits for connection-matrix arithmetic
+COMPAT_TOL = 1e-8  # largest compatibility residual that passes
 
 
 def default_dps() -> int:
+    """Working digits from FROBFORGE_PRECISION (default 30): an integer >= MIN_DPS."""
+    text = os.environ.get("FROBFORGE_PRECISION", "30")
     try:
-        return max(15, int(os.environ.get("FROBFORGE_PRECISION", "30")))
+        if int(text) >= MIN_DPS:
+            return int(text)
     except ValueError:
-        return 30
+        pass
+    raise ValidationError(f"FROBFORGE_PRECISION must be an integer >= {MIN_DPS}, got {text!r}")
 
 
 def _to_mp_matrix(rows, dps) -> mp.matrix:
@@ -104,19 +110,19 @@ class MonodromyData:
 @dataclass
 class CompatibilityReport:
     residual: float
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return self.residual < self.tol
+        return self.residual < COMPAT_TOL
 
     def __str__(self):
         verdict = "PASS" if self.passed else "FAIL"
-        return f"compatibility residual {self.residual:.3e} vs tol {self.tol:.1e}: {verdict}"
+        return f"compatibility residual {self.residual:.3e} vs tol {COMPAT_TOL:.1e}: {verdict}"
 
 
-def check_compatibility(data: MonodromyData, tol: float = 1e-8) -> CompatibilityReport:
-    """Max-norm residual of  S = C^T <,> e^{pi i mu} e^{pi i R} C."""
+def check_compatibility(data: MonodromyData) -> CompatibilityReport:
+    """Max-norm residual of  S = C^T <,> e^{pi i mu} e^{pi i R} C; the report
+    passes below COMPAT_TOL."""
     if data.connection is None:
         raise ValidationError("monodromy data has no connection matrix")
     with mp.workdps(data.dps):
@@ -127,7 +133,7 @@ def check_compatibility(data: MonodromyData, tol: float = 1e-8) -> Compatibility
         C = data.connection
         rhs = C.T * (G * mp.expm(mp.pi * 1j * M) * mp.expm(mp.pi * 1j * R)) * C
         residual = max(abs(rhs[i, j] - S[i, j]) for i in range(data.n) for j in range(data.n))
-    return CompatibilityReport(float(residual), tol)
+    return CompatibilityReport(float(residual))
 
 
 # -- braid action -----------------------------------------------------------------
@@ -412,8 +418,8 @@ class PdConnectionData:
             for i in range(n)
         ]
 
-    def monodromy_data(self, classical: PdClassicalData | None = None) -> MonodromyData:
-        pd = classical or pd_classical_data(self.d)
+    def monodromy_data(self) -> MonodromyData:
+        pd = pd_classical_data(self.d)
         return MonodromyData(
             n=self.n,
             form=pd.eta,
@@ -427,10 +433,14 @@ class PdConnectionData:
 
 
 def pd_connection(d: int, dps: int | None = None) -> PdConnectionData:
-    """Assemble C', C'' and C for P^d at ``dps`` working digits."""
+    """Assemble C', C'' and C for P^d at ``dps`` >= MIN_DPS working digits
+    (None: default_dps())."""
     if d < 1:
         raise AlgebraError("need d >= 1")
-    dps = dps or default_dps()
+    if dps is None:
+        dps = default_dps()
+    elif dps < MIN_DPS:
+        raise ValidationError(f"precision must be at least {MIN_DPS} digits, got {dps}")
     n = d + 1
     dbar = 1 if d % 2 == 0 else 0
     a = gamma_laurent_coefficients(d, dps + 10)
@@ -448,13 +458,10 @@ def pd_connection(d: int, dps: int | None = None) -> PdConnectionData:
     return PdConnectionData(d, tuple(a), cp, cpp, c, dps)
 
 
-def pd_monodromy(d: int, dps: int | None = None, use_gram: bool = False) -> MonodromyData:
-    """Full monodromy tuple of P^d.  With ``use_gram`` False the Stokes matrix
-    is the binomial form binom(d+1, j-i); the assembled C is compatible with
-    that matrix exactly when d = 1 (for d >= 2 the two Stokes forms differ by
-    a braid and the compatibility partner of C is the Gram form)."""
-    conn = pd_connection(d, dps)
-    data = conn.monodromy_data()
-    if not use_gram:
-        data.stokes = pd_stokes(d)
+def pd_monodromy(d: int, dps: int | None = None) -> MonodromyData:
+    """Full monodromy tuple of P^d with the binomial Stokes matrix binom(d+1, j-i),
+    with which C is compatible exactly when d = 1; for d >= 2 C's partner is the
+    Gram form of ``pd_connection(d, dps).monodromy_data()``, a braid away."""
+    data = pd_connection(d, dps).monodromy_data()
+    data.stokes = pd_stokes(d)
     return data

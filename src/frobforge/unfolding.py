@@ -27,7 +27,7 @@ from itertools import permutations
 import mpmath as mp
 
 from .charts import FMChart
-from .errors import AlgebraError, NumericError
+from .errors import AlgebraError, NumericError, require_positive
 from .laurent import UPoly, binomial_power_series, lagrange_root_expansion
 from .linalg import frac_matrix, poly_mat_det
 from .poly import MultiPoly
@@ -154,12 +154,13 @@ def euler_weights(n: int) -> list[Fraction]:
     return [Fraction(n + 2 - b, n + 1) for b in range(1, n + 1)]
 
 
-def build_an_chart(n: int, verify: bool = True) -> FMChart:
+def build_an_chart(n: int) -> FMChart:
     """Polynomial chart of the A_n unfolding with charge d = (n-1)/(n+1).
 
     The Euler field is normalized by 1/(n+1) so that its multiplication
     spectrum equals the critical values of f_s; the potential has all terms
-    of total degree <= 2 removed."""
+    of total degree <= 2 removed.  Every build checks F_abg = c_abg and the
+    quasihomogeneity of F exactly."""
     unf = Unfolding.build(n)
     fc = flat_coordinates(unf)
 
@@ -197,17 +198,16 @@ def build_an_chart(n: int, verify: bool = True) -> FMChart:
         lambda e: Fraction(1, sum(e) * (sum(e) - 1) * (sum(e) - 2))
     )
 
-    if verify:
-        for al in range(n):
-            da = F.diff(al)
-            for be in range(al, n):
-                dab = da.diff(be)
-                for ga in range(be, n):
-                    if dab.diff(ga) != c_entry(al, be, ga):
-                        raise AlgebraError(
-                            "potential integration failed: the structure tensor "
-                            "is not a symmetric third derivative"
-                        )
+    for al in range(n):
+        da = F.diff(al)
+        for be in range(al, n):
+            dab = da.diff(be)
+            for ga in range(be, n):
+                if dab.diff(ga) != c_entry(al, be, ga):
+                    raise AlgebraError(
+                        "potential integration failed: the structure tensor "
+                        "is not a symmetric third derivative"
+                    )
 
     weights = euler_weights(n)
     euler_linear = tuple(
@@ -222,11 +222,9 @@ def build_an_chart(n: int, verify: bool = True) -> FMChart:
         charge_d=Fraction(n - 1, n + 1),
         unity_index=1,
     )
-    if verify:
-        # exact quasihomogeneity with no quadratic correction
-        lhs = chart.lie_euler(F)
-        if lhs != F.scale(Fraction(3) - chart.charge_d):
-            raise AlgebraError("quasihomogeneity failed for the unfolding chart")
+    # exact quasihomogeneity with no quadratic correction
+    if chart.lie_euler(F) != F.scale(Fraction(3) - chart.charge_d):
+        raise AlgebraError("quasihomogeneity failed for the unfolding chart")
     return chart
 
 
@@ -235,8 +233,9 @@ def critical_values(
 ) -> list[complex]:
     """Values of f_s at the roots of f'_s for numeric s, multiplicities kept.
 
-    Roots are isolated at working precision derived from ``precision``;
-    non-convergence raises NumericError."""
+    Roots are isolated at working precision derived from ``precision``, which
+    must be finite and > 0; non-convergence raises NumericError."""
+    require_positive(precision, "precision")
     n = unf.n
     if len(s_point) != n:
         raise AlgebraError("s must have length n")

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 from fractions import Fraction
 from itertools import permutations
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobforge.charts import FMChart, structure_constants, third_derivatives
-from frobforge.errors import SemisimplicityError
+from frobforge.errors import NumericError, SemisimplicityError
 from frobforge.frames import (
     ChartEvaluator,
     canonical_coordinates,
@@ -263,6 +264,19 @@ def test_reordered_frame_keeps_its_defect():
     moved = reorder_frame(fr, (2, 0, 1))
     assert moved.defect == fr.defect
     assert np.array_equal(moved.u, fr.u[[2, 0, 1]])
+
+
+def test_frame_defect_gate_rejects_a_non_associative_chart():
+    # (1/10) t2^3 t3 breaks associativity: the defect is about 2e-1 here,
+    # against about 2e-15 on the A3 chart itself
+    a3 = build_an_chart(3)
+    point = [0.2, 0.4, 1.1]
+    assert canonical_frame(a3, point).defect < 1e-13
+    bent = dataclasses.replace(
+        a3, potential=a3.potential + MultiPoly.monomial(3, (0, 3, 1), Fraction(1, 10))
+    )
+    with pytest.raises(NumericError, match="^frame breakdown"):
+        canonical_frame(bent, point)
 
 
 @pytest.mark.parametrize(

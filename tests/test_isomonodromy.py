@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from frobforge import isomonodromy
-from frobforge.errors import NumericError, SemisimplicityError
+from frobforge.errors import NumericError, SemisimplicityError, ValidationError
 from frobforge.frames import ChartEvaluator
 from frobforge.isomonodromy import (
     IsomonodromyState,
@@ -34,19 +34,19 @@ def test_state_representation_is_exactly_skew():
 def test_hamiltonians_two_by_two():
     v = 0.4 + 0.2j
     st = IsomonodromyState.from_matrix([0.0, 2.0], [[0, v], [-v, 0]])
-    H = hamiltonians(st)
+    H = hamiltonians(np.array(st.u), st.v_matrix)
     assert abs(H[0] - v**2 / (2 * (0 - 2))) < 1e-14
     assert abs(H[0] + H[1]) < 1e-14
 
 
 def test_hamiltonians_sum_to_zero():
     st = IsomonodromyState.from_matrix([0, 1, 2 + 1j, -1j], random_skew(4, 1))
-    assert abs(sum(hamiltonians(st))) < 1e-13
+    assert abs(sum(hamiltonians(np.array(st.u), st.v_matrix))) < 1e-13
 
 
 def test_hamiltonians_vanish_for_zero_v():
     st = IsomonodromyState.from_matrix([0, 1, 2], np.zeros((3, 3)))
-    assert np.max(np.abs(hamiltonians(st))) == 0
+    assert np.max(np.abs(hamiltonians(np.array(st.u), st.v_matrix))) == 0
 
 
 def test_flow_rhs_two_by_two_abelian():
@@ -118,7 +118,7 @@ def test_directional_flow_matches_the_sum_of_directional_flows():
             dV, dtau = _directional_flow(np.array(st.u), st.v_matrix, du)
             ref = sum(du[i] * flow_rhs(i + 1, st) for i in range(n))
             assert np.max(np.abs(dV - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
-            assert abs(dtau - np.dot(hamiltonians(st), du)) < 1e-12
+            assert abs(dtau - np.dot(hamiltonians(np.array(st.u), st.v_matrix), du)) < 1e-12
 
 
 def test_integrate_constant_v_closed_form():
@@ -175,6 +175,19 @@ def test_integrate_rejects_caustic_paths():
     st = IsomonodromyState.from_matrix([0.0, 1.0], [[0, 0.3], [-0.3, 0]])
     with pytest.raises(SemisimplicityError):
         integrate(st, [[1.0, 1.0]], tol=1e-9)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+def test_bad_tolerance_is_rejected_before_any_frame_or_step(monkeypatch, tol):
+    def no_frames(*args, **kwargs):
+        raise AssertionError("a frame was computed")
+
+    monkeypatch.setattr(isomonodromy, "canonical_frame", no_frames)
+    st = IsomonodromyState.from_matrix([0, 1, 2 + 1j], random_skew(3, 5))
+    with pytest.raises(ValidationError, match="tol must be finite and > 0"):
+        integrate(st, [[0.5, 1, 2 + 1j]], tol=tol)
+    with pytest.raises(ValidationError, match="tol must be finite and > 0"):
+        g_function(build_an_chart(3), [0.2, 0.4, 1.1], [0.9, 0.4, 1.1], tol=tol)
 
 
 def test_upper_roundtrip():

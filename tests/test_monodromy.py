@@ -190,9 +190,9 @@ def test_connection_building_blocks():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_connection_compatibility(d):
-    data = pd_monodromy(d, dps=30, use_gram=True)
-    rep = check_compatibility(data, tol=1e-20)
-    assert rep.passed, rep
+    data = pd_connection(d, dps=30).monodromy_data()
+    rep = check_compatibility(data)
+    assert rep.residual < 1e-20, rep
 
 
 def test_p1_gram_is_the_binomial_matrix():
@@ -216,8 +216,8 @@ def test_braid_action_preserves_compatibility():
             S2, C2 = braid_word(data.stokes, data.connection, word)
             moved = pd_monodromy(1, dps=30)
             moved.stokes, moved.connection = S2, C2
-            rep = check_compatibility(moved, tol=1e-12)
-            assert rep.passed, (word, rep.residual)
+            rep = check_compatibility(moved)
+            assert rep.residual < 1e-12, (word, rep.residual)
 
 
 def test_braid_act_handles_complex_list_connection():
@@ -241,7 +241,7 @@ def test_trivial_compatibility_identity():
         connection=mp.eye(n),
         dps=30,
     )
-    assert check_compatibility(data, tol=1e-12).passed
+    assert check_compatibility(data).residual < 1e-12
 
 
 def test_compatibility_negative_control():
@@ -249,7 +249,7 @@ def test_compatibility_negative_control():
     C = data.connection.copy()
     C[1, 0] = C[1, 0] + mp.mpf("1e-3")
     data.connection = C
-    assert not check_compatibility(data, tol=1e-8).passed
+    assert not check_compatibility(data).passed
 
 
 def test_monodromy_validation():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -256,6 +257,59 @@ def test_cli_connection(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["compatibility_residual"] < 1e-8
     assert out["compatible_stokes_form"] == [[1, 2], [0, 1]]
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_cli_rejects_a_bad_tolerance_before_any_work(tmp_path, capsys, tol):
+    chart_path = tmp_path / "a3.json"
+    main(["an-build", "--n", "3", "--out", str(chart_path)])
+    v0 = tmp_path / "v0.json"
+    v0.write_text(json.dumps([["0", "0.3", "0.1"], ["-0.3", "0", "0.5"], ["-0.1", "-0.5", "0"]]))
+    capsys.readouterr()
+    for argv in (
+        ["gfunction", "--chart", str(chart_path), "--t0", "0.2,0.4,1.1", "--t1", "0.9,0.4,1.1"],
+        ["isomonodromy", "run", "--n", "3", "--v0", str(v0), "--path", "0,1,2+1j; 0.4,1.3,2+1j"],
+    ):
+        start = time.perf_counter()
+        assert main(argv + [f"--tol={tol}"]) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("schema-error: tol must be finite and > 0")
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["an-critical", "--n", "2", "--s=-3,0", "--precision", "0"],
+    ["an-critical", "--n", "2", "--s=-3,0", "--precision", "nan"],
+    ["an-critical", "--n", "2", "--s=-3,0", "--precision", "-1"],
+    ["connection", "pd", "--d", "1", "--precision", "-3"],
+    ["connection", "pd", "--d", "1", "--precision", "0"],
+    ["connection", "pd", "--d", "1", "--precision", "14"],
+])
+def test_cli_rejects_a_bad_precision(argv, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("schema-error: precision must be")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["abc", "5", "14"])
+def test_cli_rejects_a_bad_precision_variable(value, monkeypatch, capsys):
+    monkeypatch.setenv("FROBFORGE_PRECISION", value)
+    assert main(["connection", "pd", "--d", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("schema-error: FROBFORGE_PRECISION must be an integer >= 15")
+    assert captured.out == ""
+
+
+def test_cli_connection_precision_floor_is_accepted(monkeypatch, capsys):
+    monkeypatch.setenv("FROBFORGE_PRECISION", "15")
+    assert main(["connection", "pd", "--d", "1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["precision_dps"] == 15
+    assert out["compatibility_residual"] < 1e-8
 
 
 def test_cli_wdvv_failure_exit_code(tmp_path):
