@@ -50,11 +50,7 @@ from .isomonodromy import (
     hamiltonians,
     integrate,
 )
-from .laurent import (
-    LaurentTail,
-    UPoly,
-    sylvester_resultant,
-)
+from .laurent import LaurentTail
 from .monodromy import (
     BraidMove,
     BraidOrbit,

@@ -8,6 +8,7 @@ and are deterministic given it.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, replace
@@ -46,18 +47,7 @@ class CriterionResult:
         return f"[{mark}] criterion {self.number:2d} - {self.name}: {self.detail}"
 
 
-def _chart_cache():
-    cache = {}
-
-    def get(n):
-        if n not in cache:
-            cache[n] = build_an_chart(n)
-        return cache[n]
-
-    return get
-
-
-_an = _chart_cache()
+_an = functools.cache(build_an_chart)
 
 
 def _random_semisimple_points(seed: int, count: int = 20):
@@ -285,7 +275,7 @@ def criterion_9(seed: int = 0) -> CriterionResult:
     details = []
     ok = True
     for n in range(2, 6):
-        c = virasoro_central_charge(_an(n) if n <= 3 else build_an_chart(n))
+        c = virasoro_central_charge(_an(n))
         expect = Fraction(n * (n + 1) * (n + 2))
         ok = ok and c == expect
         details.append(f"n={n}: {c} (expect {expect})")

@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 import mpmath as mp
@@ -179,13 +180,8 @@ def _cmd_isomonodromy_run(args):
             row += [h.real, h.imag]
         row += [smp.log_tau.real, smp.log_tau.imag]
         rows.append(row)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
-    else:
-        w = csv.writer(sys.stdout)
+    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as fh:
+        w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
     print(

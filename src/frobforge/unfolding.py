@@ -28,28 +28,43 @@ import mpmath as mp
 
 from .charts import FMChart
 from .errors import AlgebraError, NumericError, require_positive
-from .laurent import UPoly, binomial_power_series, lagrange_root_expansion
 from .linalg import frac_matrix, poly_mat_det
 from .poly import MultiPoly
 
 
 @dataclass(frozen=True)
 class Unfolding:
-    """The family x^{n+1} + s_1 x^{n-1} + ... + s_n with its x-derivative."""
+    """The family x^{n+1} + s_1 x^{n-1} + ... + s_n with its x-derivative,
+    each as coefficients indexed by x-degree: ``f[d]`` multiplies x^d."""
 
     n: int
-    f: UPoly
-    fprime: UPoly
+    f: tuple[MultiPoly, ...]
+    fprime: tuple[MultiPoly, ...]
 
     @classmethod
     def build(cls, n: int) -> "Unfolding":
         if n < 1:
             raise AlgebraError("need n >= 1")
-        coeffs = {n + 1: MultiPoly.const(n, 1)}
-        for k in range(1, n + 1):
-            coeffs[n - k] = MultiPoly.variable(n, k - 1)
-        f = UPoly(n, coeffs)
-        return cls(n, f, f.diff_x())
+        f = tuple(MultiPoly.variable(n, n - 1 - d) for d in range(n))
+        f += (MultiPoly.zero(n), MultiPoly.const(n, 1))
+        return cls(n, f, tuple(c.scale(d) for d, c in enumerate(f) if d > 0))
+
+
+def binomial_power_series(
+    g: dict[int, MultiPoly], beta: Fraction, degree: int, arity: int
+) -> list[MultiPoly]:
+    """[y^0], ..., [y^degree] of (1 + sum_k g[k] y^k)^beta by J. C. P. Miller's
+    recurrence
+
+        P_0 = 1,  P_i = (1/i) sum_k (beta k - (i - k)) g[k] P_{i-k}
+
+    (Knuth, TAOCP vol. 2, section 4.7)."""
+    powers = [MultiPoly.const(arity, 1)]
+    for i in range(1, degree + 1):
+        powers.append(MultiPoly.zero(arity).dot(
+            (gk.scale((beta * k - (i - k)) / i), powers[i - k]) for k, gk in g.items() if k <= i
+        ))
+    return powers
 
 
 def residue_series(unf: Unfolding) -> list[MultiPoly]:
@@ -59,7 +74,7 @@ def residue_series(unf: Unfolding) -> list[MultiPoly]:
     a_m = 0 for m < 0):  <d_i, d_j> = a_{n+1-i-j},  c_ijk = a_{2n+1-i-j-k}."""
     n = unf.n
     # f' = (n+1) x^n (1 + h(y)) with y = 1/x
-    h = {n - d: c.scale(Fraction(1, n + 1)) for d, c in unf.fprime.coeffs.items() if d != n}
+    h = {n - d: c.scale(Fraction(1, n + 1)) for d, c in enumerate(unf.fprime[:n])}
     return binomial_power_series(h, Fraction(-1), 2 * n - 2, n)
 
 
@@ -104,10 +119,13 @@ class FlatCoordinateMap:
 
 def flat_coordinates(unf: Unfolding) -> FlatCoordinateMap:
     n = unf.n
-    x = lagrange_root_expansion(unf.f, n + 1)
-    # x = k + c_1/k + ..., c_j = -(1/j) [y^{j+1}] (1 + g)^{j/(n+1)}, so the
-    # flat coordinate t_old_j = -(n+1) c_j
-    t_old = [x.coefficient(-j).scale(-(n + 1)) for j in range(1, n + 1)]
+    # f = x^{n+1} (1 + g(y)) with y = 1/x, and
+    # t_old_j = ((n+1)/j) [y^{j+1}] (1 + g)^{j/(n+1)}
+    g = {n + 1 - d: c for d, c in enumerate(unf.f[:n + 1])}
+    t_old = [
+        binomial_power_series(g, Fraction(j, n + 1), j + 1, n)[-1].scale(Fraction(n + 1, j))
+        for j in range(1, n + 1)
+    ]
 
     # invert the triangular system t_old_j = s_j + h_j(s_1..s_{j-1});
     # variables of the result are the reversed (unity-first) t coordinates,
@@ -236,10 +254,8 @@ def critical_values(
     Roots are isolated at working precision derived from ``precision``, which
     must be finite and > 0; non-convergence raises NumericError."""
     require_positive(precision, "precision")
-    n = unf.n
-    if len(s_point) != n:
+    if len(s_point) != unf.n:
         raise AlgebraError("s must have length n")
-    point = [Fraction(x) if isinstance(x, int) else x for x in s_point]
 
     def to_mp(value) -> mp.mpc:
         if isinstance(value, Fraction):
@@ -248,21 +264,10 @@ def critical_values(
 
     digits = max(20, int(-mp.log10(precision)) + 10)
     with mp.workdps(digits):
-        exact = all(isinstance(x, (int, Fraction)) for x in point)
-        fp_coeffs = {
-            d: c.evaluate(point) if exact else complex(c.evaluate(point))
-            for d, c in unf.fprime.coeffs.items()
-        }
-        deg = max(fp_coeffs)
-        coeffs = [to_mp(fp_coeffs.get(d, Fraction(0))) for d in range(deg, -1, -1)]
+        fp_coeffs = [to_mp(c.evaluate(s_point)) for c in reversed(unf.fprime)]
         try:
-            roots = mp.polyroots(coeffs, maxsteps=200, extraprec=120)
+            roots = mp.polyroots(fp_coeffs, maxsteps=200, extraprec=120)
         except mp.libmp.libhyper.NoConvergence as exc:  # pragma: no cover
             raise NumericError(f"root finding did not converge: {exc}") from exc
-        f_at = []
-        for r in roots:
-            val = mp.mpc(0)
-            for d, c in unf.f.coeffs.items():
-                val += to_mp(c.evaluate(point) if exact else complex(c.evaluate(point))) * r**d
-            f_at.append(complex(val))
-    return f_at
+        f_terms = [(d, to_mp(c.evaluate(s_point))) for d, c in reversed(list(enumerate(unf.f)))]
+        return [complex(sum(c * r**d for d, c in f_terms)) for r in roots]

@@ -194,15 +194,19 @@ def test_cli_isomonodromy_run(tmp_path, capsys):
         ["-0.1", "-0.5", "0"],
     ]))
     out = tmp_path / "traj.csv"
-    code = main([
+    argv = [
         "isomonodromy", "run", "--n", "3", "--v0", str(v0),
         "--path", "0,1,2+1j; 0.4,1.3,2+1j", "--tol", "1e-9",
-        "--out", str(out),
-    ])
-    assert code == 0
+    ]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("param,u1_re")
     assert len(lines) > 2
+    # without --out the same CSV goes to stdout
+    assert main(argv) == 0
+    with open(out, newline="") as fh:
+        assert capsys.readouterr().out == fh.read()
 
 
 def test_cli_canonical_output_feeds_isomonodromy_run(tmp_path):

@@ -3,9 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from frobforge import unfolding
 from frobforge.charts import check_axioms, check_wdvv, intersection_form, structure_constants, virasoro_central_charge
-from frobforge.laurent import sylvester_resultant
-from frobforge.linalg import is_constant_multiple
+from frobforge.errors import AlgebraError
+from frobforge.linalg import is_constant_multiple, poly_mat_det
 from frobforge.poly import MultiPoly
 from frobforge.unfolding import (
     Unfolding,
@@ -19,9 +20,11 @@ from frobforge.unfolding import (
 
 def test_unfolding_shape():
     unf = Unfolding.build(3)
-    assert unf.f.degree == 4
+    s1, s2, s3 = (MultiPoly.variable(3, k) for k in range(3))
     # coefficient of x^n vanishes: the family is x^4 + s1 x^2 + s2 x + s3
-    assert 3 not in unf.f.coeffs
+    assert unf.f == (s3, s2, s1, MultiPoly.zero(3), MultiPoly.const(3, 1))
+    assert unf.fprime == (s2, s1.scale(2), MultiPoly.zero(3), MultiPoly.const(3, 4))
+    assert hash(unf) == hash(Unfolding.build(3))
 
 
 def pairing(a, n, i, j):
@@ -64,13 +67,40 @@ def test_residue_series_inverts_fprime(n):
     a = residue_series(unf)
     assert len(a) == 2 * n - 1
     product = {}
-    for d, c in unf.fprime.coeffs.items():
+    for d, c in enumerate(unf.fprime):
         for m, am in enumerate(a):
             e = d + 2 * n - 2 - m
             product[e] = product.get(e, MultiPoly.zero(n)) + c * am
     for e in range(n, 3 * n - 1):
         expect = MultiPoly.const(n, n + 1) if e == 3 * n - 2 else MultiPoly.zero(n)
         assert product.get(e, MultiPoly.zero(n)) == expect, (n, e)
+
+
+def _scale_positive_powers(real):
+    def patched(g, beta, degree, arity):
+        return real(g, beta * Fraction(4, 5) if beta > 0 else beta, degree, arity)
+    return patched
+
+
+def _bend_t3(real):
+    # adds s1^2 to t_old_3 = (4/3) [y^4] (1 + g)^{3/4} on A3: the map stays
+    # triangular and invertible, but the pairing is no longer constant
+    def patched(g, beta, degree, arity):
+        powers = real(g, beta, degree, arity)
+        if beta == Fraction(3, 4):
+            powers[-1] = powers[-1] + (MultiPoly.variable(3, 0) ** 2).scale(Fraction(3, 4))
+        return powers
+    return patched
+
+
+@pytest.mark.parametrize("patch,message", [
+    (_scale_positive_powers, "flat coordinate inversion failed"),
+    (_bend_t3, r"pairing entry \(3,3\) did not become constant"),
+], ids=["scaled-powers", "bent-t3"])
+def test_flat_coordinate_checks_catch_a_wrong_series(monkeypatch, patch, message):
+    monkeypatch.setattr(unfolding, "binomial_power_series", patch(unfolding.binomial_power_series))
+    with pytest.raises(AlgebraError, match=message):
+        flat_coordinates(Unfolding.build(3))
 
 
 def test_flat_coordinates_n1():
@@ -207,6 +237,30 @@ def test_critical_values_n1():
     assert abs(vals[0] - 7 / 3) < 1e-12
 
 
+def sylvester_resultant(f, g):
+    """Resultant of two x-polynomials given as {degree: MultiPoly} maps with
+    nonzero leading coefficients, as the Sylvester determinant."""
+    m, k = max(f), max(g)
+    zero = MultiPoly.zero(f[m].arity)
+    rows = []
+    for p, q, shifts in ((f, m, k), (g, k, m)):
+        for shift in range(shifts):
+            row = [zero] * (m + k)
+            for d, c in p.items():
+                row[shift + q - d] = c
+            rows.append(row)
+    return poly_mat_det(rows)
+
+
+def test_resultant_discriminant_of_depressed_cubic():
+    # Res(f, f') for f = x^3 + p x + q equals 4 p^3 + 27 q^2
+    p = MultiPoly.variable(2, 0)
+    q = MultiPoly.variable(2, 1)
+    f = {3: MultiPoly.const(2, 1), 1: p, 0: q}
+    fprime = {2: MultiPoly.const(2, 3), 0: p}
+    assert sylvester_resultant(f, fprime) == (p**3).scale(4) + (q**2).scale(27)
+
+
 def test_discriminant_matches_intersection_determinant():
     # det g vanishes exactly where the critical values collide
     for n in (2, 3):
@@ -214,6 +268,7 @@ def test_discriminant_matches_intersection_determinant():
         unf = Unfolding.build(n)
         fc = flat_coordinates(unf)
         det_g = intersection_form(chart).determinant
-        disc = sylvester_resultant(unf.f, unf.fprime)
+        disc = sylvester_resultant(dict(enumerate(unf.f)), dict(enumerate(unf.fprime)))
         disc_t = disc.compose(list(fc.s_of_t))
         assert is_constant_multiple(det_g, disc_t) is not None
+
