@@ -4,15 +4,22 @@
 For the unfolding charts the increment of G along the scaling flow is a
 point-independent constant (here it comes out zero: the tau and Jacobian
 parts cancel, log tau = (1/24) log J up to a constant on these charts).  The
-scan prints the measured per-unit-flow increments and their spread.
+scan prints the measured per-unit-flow increments and their spread, and
+exits 1 when a rank finds fewer than POINTS base points whose G converges.
 """
+
+import sys
 
 import numpy as np
 
 from frobforge import ChartEvaluator, build_an_chart, g_function
+from frobforge.errors import FrobforgeError
+
+POINTS = 8
 
 
-def main():
+def main() -> int:
+    status = 0
     for n in (2, 3):
         chart = build_an_chart(n)
         ev = ChartEvaluator(chart)
@@ -21,13 +28,13 @@ def main():
         lam = 0.25
         vals = []
         tries = 0
-        while len(vals) < 8 and tries < 100:
+        while len(vals) < POINTS and tries < 100:
             tries += 1
             base = np.ones(n) * 0.8 + 0.3 * rng.standard_normal(n) + 0.15j * rng.standard_normal(n)
             target = np.array([np.exp(w * lam) for w in weights]) * base
             try:
                 gv = g_function(ev, base, target, tol=1e-9)
-            except Exception:
+            except FrobforgeError:
                 continue
             vals.append(gv.delta_g / lam)
         vals = np.array(vals)
@@ -35,7 +42,11 @@ def main():
             f"A{n}: scaling dG/dlambda over {len(vals)} base points: "
             f"mean={np.mean(vals):+.3e}  std={np.std(vals):.3e}"
         )
+        if len(vals) < POINTS:
+            print(f"A{n}: only {len(vals)} of {POINTS} base points converged", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -19,7 +19,7 @@ import numpy as np
 from .charts import check_wdvv, virasoro_central_charge
 from .deformed import deformed_flat_coordinates, pairing_holds
 from .descendents import flow_commutator_jets, hierarchy_flow, omega_table
-from .errors import FrobforgeError, NumericError, SemisimplicityError
+from .errors import FrobforgeError, NumericError, SemisimplicityError, ValidationError
 from .frames import ChartEvaluator, canonical_coordinates, canonical_frame
 from .isomonodromy import IsomonodromyState, g_function, integrate
 from .linalg import is_constant_multiple
@@ -370,5 +370,10 @@ ALL_CRITERIA = [
 
 
 def run_criteria(numbers=None, seed: int = 0) -> list[CriterionResult]:
+    """Run the numbered criteria (default all); a number outside 1..13 is a
+    ValidationError raised before any criterion runs."""
     chosen = numbers or range(1, len(ALL_CRITERIA) + 1)
+    bad = [k for k in chosen if not 1 <= k <= len(ALL_CRITERIA)]
+    if bad:
+        raise ValidationError(f"criterion numbers must lie in 1..{len(ALL_CRITERIA)}, got {bad}")
     return [ALL_CRITERIA[k - 1](seed) for k in chosen]

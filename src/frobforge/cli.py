@@ -27,7 +27,7 @@ import mpmath as mp
 import numpy as np
 
 from . import serialize as ser
-from .acceptance import run_criteria
+from .acceptance import ALL_CRITERIA, run_criteria
 from .charts import check_axioms, check_wdvv
 from .deformed import deformed_flat_coordinates
 from .descendents import hierarchy_flow, omega_table
@@ -65,6 +65,19 @@ def _braid_word(text: str) -> list[int]:
         return [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad braid word {text!r}: expected integers") from None
+
+
+def _criteria(text: str) -> list[int]:
+    """--criteria: comma-separated criterion numbers, each in 1..13."""
+    try:
+        numbers = [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        numbers = []
+    if not numbers or not all(1 <= k <= len(ALL_CRITERIA) for k in numbers):
+        raise argparse.ArgumentTypeError(
+            f"bad criteria {text!r}: expected numbers in 1..{len(ALL_CRITERIA)}"
+        )
+    return numbers
 
 
 def _load_stokes(path: str):
@@ -205,7 +218,7 @@ def _cmd_gfunction(args):
         "d_log_tau": ser.complex_to_json(gv.d_log_tau),
         "d_log_j": ser.complex_to_json(gv.d_log_j),
         "delta_g": ser.complex_to_json(gv.delta_g),
-        **{key: getattr(gv, key) for key in ("level", "j_level", "frames", "max_defect")},
+        **{key: getattr(gv, key) for key in ("level", "frames", "max_defect")},
     }
     _emit(obj, args.out)
     return 0
@@ -297,10 +310,7 @@ def _cmd_orbit(args):
 
 
 def _cmd_selftest(args):
-    numbers = None
-    if args.criteria:
-        numbers = [int(x) for x in args.criteria.split(",") if x.strip()]
-    results = run_criteria(numbers, seed=args.seed)
+    results = run_criteria(args.criteria, seed=args.seed)
     for res in results:
         print(res.line())
     return 0 if all(r.passed for r in results) else 2
@@ -408,7 +418,8 @@ def build_parser() -> _Parser:
     q.set_defaults(fn=_cmd_orbit)
 
     q = sub.add_parser("selftest", help="run the acceptance criteria")
-    q.add_argument("--criteria", help="comma-separated criterion numbers (default all)")
+    q.add_argument("--criteria", type=_criteria,
+                   help="comma-separated criterion numbers (default all)")
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(fn=_cmd_selftest)
 

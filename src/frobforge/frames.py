@@ -13,7 +13,7 @@ with mu the constant grading matrix of the chart.  All of this is numerical
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -337,16 +337,3 @@ def match_ordering(u_ref, u_new) -> tuple[int, ...]:
         return tuple(int(x) for x in p)
     return _assignment(cost)
 
-
-def reorder_frame(frame: CanonicalFrame, perm: tuple[int, ...]) -> CanonicalFrame:
-    """Relabel the canonical directions by ``perm`` (new row i = old row perm[i])."""
-    p = list(perm)
-    return replace(
-        frame,
-        u=frame.u[p],
-        psi=frame.psi[p],
-        v=frame.v[np.ix_(p, p)],
-        idempotents=frame.idempotents[p],
-        norms=frame.norms[p],
-        ordering=tuple(frame.ordering[i] for i in p),
-    )

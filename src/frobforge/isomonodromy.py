@@ -14,7 +14,8 @@ evolving it, which is what the G-function
     G = log tau - (1/24) log J,   J = det(dt^a/du_i)
 
 needs: differences of G between chart points are quadratures of exact frame
-data, with no ODE drift.
+data, with no ODE drift.  log J follows J^2 through the frames the quadrature
+reads; J^2 does not depend on how the u_i are labelled.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from .frames import (
     _pairs,
     _require_separated,
     canonical_frame,
-    match_ordering,
-    reorder_frame,
+    match_ordering,  # unused here; perfbench's tracer wraps it under this module's name
     vi_matrices,
 )
 
@@ -213,22 +213,21 @@ def integrate(state0: IsomonodromyState, path, tol: float = 1e-10) -> Isomonodro
 # -- chart-driven G-function ---------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-MAX_LEVEL = 12  # finest dyadic level of the tau quadrature and the log J grid
+MAX_LEVEL = 12  # finest dyadic level of the tau quadrature: 2^MAX_LEVEL panels
 
 
 @dataclass
 class GValue:
     """Difference of the G-function between two chart points, with what it
-    cost and how sure it is: the tau quadrature level reached, the dyadic
-    level of the log J grid, the number of distinct frames evaluated and the
-    largest frame defect |Psi^T Psi - eta| among them."""
+    cost and how sure it is: the tau quadrature level reached, the number of
+    distinct frames evaluated and the largest frame defect |Psi^T Psi - eta|
+    among them."""
 
     base_point: tuple[complex, ...]
     target_point: tuple[complex, ...]
     d_log_tau: complex
     d_log_j: complex
     level: int
-    j_level: int
     frames: int
     max_defect: float
 
@@ -241,10 +240,12 @@ def g_function(chart, t0, t1, tol: float = 1e-9) -> GValue:
     """Delta G = Delta log tau - (1/24) Delta log J along the straight t-segment.
 
     V(u) is read off the chart's own frames at quadrature nodes (no ODE
-    drift); log J is accumulated through branch-tracked ratios of Jacobian
-    determinants with a continuity-matched labeling of the u's.  The tau
-    quadrature doubles its panels from 2^2 until two levels agree to ``tol``
-    (finite, > 0), and neither it nor the log J grid goes past 2^MAX_LEVEL."""
+    drift).  The tau quadrature doubles its panels from 2^2 until two levels
+    agree to ``tol`` (finite, > 0); then Delta log J = 1/2 sum_k
+    Log(J_k^2 / J_{k-1}^2) over every frame read so far, ends included, in
+    sigma order.  Relabelling the u's only flips the sign of J, so J^2 needs
+    no matching of labels.  A step with |J_k^2 / J_{k-1}^2 - 1| > 0.7 sends
+    the loop on to the next level; none goes past 2^MAX_LEVEL panels."""
     require_positive(tol, "tol")
     ev = _as_evaluator(chart)
     t0 = np.array([complex(x) for x in t0], dtype=complex)
@@ -264,53 +265,42 @@ def g_function(chart, t0, t1, tol: float = 1e-9) -> GValue:
         H = hamiltonians(fr.u, fr.v)
         return complex(np.dot(H, udot))
 
-    def quad():
-        prev = None
-        for level in range(2, MAX_LEVEL + 1):
-            panels = 2**level
-            total = 0j
-            for p in range(panels):
-                a, b = p / panels, (p + 1) / panels
-                mid, half = (a + b) / 2, (b - a) / 2
-                for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-                    total += w * integrand(mid + half * x) * half
-            if prev is not None and abs(total - prev) <= tol / 4:
-                return total, level
-            prev = total
-        raise NumericError("tau quadrature did not converge at the requested tolerance")
+    def log_j() -> complex | None:
+        """1/2 Delta log J^2 through the cached frames, None if a step jumps."""
+        squares = np.array([cache[sig].J for sig in sorted(cache)]) ** 2
+        ratios = squares[1:] / squares[:-1]
+        if np.abs(ratios - 1.0).max() > 0.7:
+            return None
+        return complex(np.log(ratios).sum()) / 2
 
-    # both end frames are read by the log J grid anyway; reading them first
-    # rejects an end point on the caustic before any quadrature
+    # reading the end frames first rejects an end point on the caustic before
+    # any quadrature; both are steps of the log J tracking
     frame_at(0.0)
     frame_at(1.0)
-    d_log_tau, level = quad()
-
-    # branch-tracked log J on a dyadic grid at least as fine as the quadrature
-    for jlevel in range(max(level, 3), MAX_LEVEL + 1):
-        grid = [k / 2**jlevel for k in range(2**jlevel + 1)]
-        fr_prev = frame_at(grid[0])
-        d_log_j = 0j
-        j_prev = fr_prev.J
-        ok = True
-        for sig in grid[1:]:
-            fr = frame_at(sig)
-            perm = match_ordering(fr_prev.u, fr.u)
-            fr = reorder_frame(fr, perm)
-            ratio = fr.J / j_prev
-            if abs(ratio - 1.0) > 0.7:
-                ok = False
-                break
-            d_log_j += complex(np.log(ratio))
-            fr_prev, j_prev = fr, fr.J
-        if ok:
-            return GValue(
-                tuple(complex(x) for x in t0),
-                tuple(complex(x) for x in t1),
-                d_log_tau,
-                d_log_j,
-                level=level,
-                j_level=jlevel,
-                frames=len(cache),
-                max_defect=max(fr.defect for fr in cache.values()),
-            )
-    raise NumericError("log J branch tracking failed; refine the path")
+    prev = None
+    converged = False
+    for level in range(2, MAX_LEVEL + 1):
+        panels = 2**level
+        total = 0j
+        for p in range(panels):
+            a, b = p / panels, (p + 1) / panels
+            mid, half = (a + b) / 2, (b - a) / 2
+            for x, w in zip(_GL_NODES, _GL_WEIGHTS):
+                total += w * integrand(mid + half * x) * half
+        if prev is not None and abs(total - prev) <= tol / 4:
+            converged = True
+            d_log_j = log_j()
+            if d_log_j is not None:
+                return GValue(
+                    tuple(complex(x) for x in t0),
+                    tuple(complex(x) for x in t1),
+                    total,
+                    d_log_j,
+                    level=level,
+                    frames=len(cache),
+                    max_defect=max(fr.defect for fr in cache.values()),
+                )
+        prev = total
+    if converged:
+        raise NumericError("log J branch tracking failed; refine the path")
+    raise NumericError("tau quadrature did not converge at the requested tolerance")

@@ -11,12 +11,19 @@ control to fail the clause.
 import pytest
 
 from frobforge import acceptance, monodromy
+from frobforge.errors import ValidationError
 
 
 def _run(k):
     result = acceptance.ALL_CRITERIA[k - 1](seed=0)
     print(result.line())
     return result
+
+
+@pytest.mark.parametrize("numbers", [[0], [-1], [14], [3, 99]])
+def test_criterion_numbers_outside_the_suite_are_rejected(numbers):
+    with pytest.raises(ValidationError, match="1..13"):
+        acceptance.run_criteria(numbers)
 
 
 def test_criterion_1_unfolding_wdvv_exact():

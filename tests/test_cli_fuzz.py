@@ -182,6 +182,12 @@ def test_bad_stokes_input_is_diagnosed(path, value, argv, prefix):
     assert code == 1 and err.startswith(prefix), (argv, code, err)
 
 
+@pytest.mark.parametrize("criteria", ["0", "-1", "x", "99", ","])
+def test_bad_selftest_criteria_are_usage_errors(criteria):
+    code, err = run_cli(["selftest", "--criteria", criteria])
+    assert code == 1 and err.startswith("usage-error: "), (criteria, code, err)
+
+
 def test_connection_with_wrong_columns_is_schema_error(tmp_path):
     c_path = tmp_path / "c.json"
     c_path.write_text(json.dumps([[1, 0], [0, 1]]))

@@ -15,7 +15,6 @@ from frobforge.frames import (
     canonical_coordinates,
     canonical_frame,
     match_ordering,
-    reorder_frame,
     vi_matrices,
 )
 from frobforge.linalg import frac_matrix
@@ -256,14 +255,6 @@ def test_match_ordering_fallback_at_n10_is_fast_and_optimal():
     assert sorted(p) == list(range(10))
     # on a line the monotone matching is optimal for |x - y|
     assert _cost(u_ref, u_new, p) == pytest.approx(_cost(u_ref, u_new, range(10)), abs=1e-12)
-
-
-def test_reordered_frame_keeps_its_defect():
-    fr = canonical_frame(build_an_chart(3), [0.2, 0.4, 1.1])
-    assert fr.defect > 0
-    moved = reorder_frame(fr, (2, 0, 1))
-    assert moved.defect == fr.defect
-    assert np.array_equal(moved.u, fr.u[[2, 0, 1]])
 
 
 def test_frame_defect_gate_rejects_a_non_associative_chart():

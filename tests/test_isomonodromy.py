@@ -1,3 +1,6 @@
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -202,11 +205,11 @@ def test_g_function_zero_segment():
 
 
 def test_g_value_reports_its_diagnostics():
-    # 32 + 64 Gauss nodes at quadrature levels 2 and 3, plus the 9 points of
-    # the level-3 log J grid: 105 distinct frames
+    # 32 + 64 Gauss nodes at quadrature levels 2 and 3, plus the two end
+    # frames: 98 distinct frames, which also carry the log J tracking
     ev = ChartEvaluator(build_an_chart(3))
     gv = g_function(ev, [0.2, 0.4, 1.1], [0.5, 0.1, 1.4], tol=1e-9)
-    assert (gv.level, gv.j_level, gv.frames) == (3, 3, 105)
+    assert (gv.level, gv.frames) == (3, 98)
     assert 0 < gv.max_defect < 1e-10
 
 
@@ -240,21 +243,20 @@ def test_chart_frames_solve_the_free_flow():
     # straight u-segment must land on the other frame's V (modulo the
     # square-root sign gauge), with matching tau increments from the two
     # completely independent routes
-    from frobforge.frames import canonical_frame, match_ordering, reorder_frame
-    from frobforge.unfolding import build_an_chart
+    from frobforge.frames import canonical_frame, match_ordering
 
     chart = build_an_chart(3)
     ev = ChartEvaluator(chart)
     t0, t1 = [0.2, 0.4, 1.1], [0.5, 0.1, 1.4]
     fr0 = canonical_frame(ev, t0)
-    fr1 = reorder_frame(
-        canonical_frame(ev, t1), match_ordering(fr0.u, canonical_frame(ev, t1).u)
-    )
+    fr1 = canonical_frame(ev, t1)
+    p = list(match_ordering(fr0.u, fr1.u))
+    u1, v1 = fr1.u[p], fr1.v[np.ix_(p, p)]
     st = IsomonodromyState.from_matrix(fr0.u, fr0.v)
-    traj = integrate(st, [fr1.u], tol=1e-12)
+    traj = integrate(st, [u1], tol=1e-12)
     V_ode = traj.final_state.v_matrix
     best = min(
-        np.max(np.abs(np.diag(signs) @ fr1.v @ np.diag(signs) - V_ode))
+        np.max(np.abs(np.diag(signs) @ v1 @ np.diag(signs) - V_ode))
         for signs in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1))
     )
     assert best < 1e-9
@@ -328,6 +330,77 @@ def test_g_function_path_independence():
         + g_function(ev, mid, b, tol=1e-10).delta_g
     )
     assert abs(direct - two_leg) < 1e-6
+
+
+def test_g_function_rejects_a_jump_in_log_j(monkeypatch):
+    # control: doubling one idempotent row of the t1 end frame quadruples J^2
+    # in the last tracking step, which fails the ratio guard at every level
+    t0, t1 = [0.2, 0.4, 1.1], [0.5, 0.1, 1.4]
+    real = isomonodromy.canonical_frame
+
+    def doubled_at_t1(ev, t):
+        fr = real(ev, t)
+        if np.allclose(t, t1):
+            idem = fr.idempotents.copy()
+            idem[0] *= 2
+            fr = dataclasses.replace(fr, idempotents=idem)
+        return fr
+
+    monkeypatch.setattr(isomonodromy, "canonical_frame", doubled_at_t1)
+    monkeypatch.setattr(isomonodromy, "MAX_LEVEL", 4)
+    with pytest.raises(NumericError, match="log J"):
+        g_function(ChartEvaluator(build_an_chart(3)), t0, t1, tol=1e-9)
+
+
+def _misses_with_one_over_25(gv, expected):
+    # the same increments with 1/25 in place of 1/24 must miss the closed form
+    return abs(gv.d_log_tau - gv.d_log_j / 25 - expected) > 1e-4
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_g_function_vanishes_on_an_charts(n):
+    # on the A_n unfolding charts G is constant: Delta log tau = Delta log J / 24
+    # between arbitrary complex points, while log tau itself moves
+    ev = ChartEvaluator(build_an_chart(n))
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        t0, t1 = (0.8 + 0.3 * rng.standard_normal(n) + 0.2j * rng.standard_normal(n)
+                  for _ in range(2))
+        gv = g_function(ev, t0, t1, tol=1e-10)
+        assert abs(gv.d_log_tau) >= 1e-2
+        assert abs(gv.delta_g) < 1e-10
+        assert _misses_with_one_over_25(gv, 0)
+
+
+def test_g_function_of_the_projective_line():
+    # QH(P^1): F = t1^2 t2 / 2 + e^{t2}, eta antidiagonal, E = t1 d_1 + 2 d_2,
+    # d = 1, whose G-function is G = -t2 / 24
+    from frobforge.charts import FMChart
+    from frobforge.linalg import frac_matrix
+    from frobforge.poly import MultiPoly
+    from frobforge.series import ExpSeries
+
+    potential = ExpSeries(2, 1, 3, {
+        0: MultiPoly.monomial(2, (2, 1), Fraction(1, 2)),
+        1: MultiPoly.const(2, 1),
+    })
+    chart = FMChart(
+        n=2,
+        eta=frac_matrix([[0, 1], [1, 0]]),
+        potential=potential,
+        euler_linear=frac_matrix([[1, 0], [0, 0]]),
+        euler_const=(Fraction(0), Fraction(2)),
+        charge_d=Fraction(1),
+    )
+    ev = ChartEvaluator(chart)
+    rng = np.random.default_rng(1)
+    for _ in range(4):
+        t0, t1 = (rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2))
+        gv = g_function(ev, t0, t1, tol=1e-10)
+        expected = -(t1[1] - t0[1]) / 24
+        assert abs(gv.d_log_j) >= 0.1
+        assert abs(gv.delta_g - expected) < 1e-10
+        assert _misses_with_one_over_25(gv, expected)
 
 
 def test_g_function_rejects_a_caustic_end_point_before_quadrature(monkeypatch):
