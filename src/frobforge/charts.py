@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from .errors import AlgebraError, ValidationError
@@ -61,7 +62,7 @@ class FMChart:
         if not 1 <= self.unity_index <= self.n:
             raise ValidationError("unity_index out of range")
 
-    @property
+    @cached_property
     def eta_inv(self) -> FracMatrix:
         return mat_inverse(self.eta)
 

@@ -288,7 +288,7 @@ def _cmd_braid(args):
     S2, C2 = braid_word(S, C, args.word)
     obj = {"S": [[ser.frac_to_str(x) for x in row] for row in S2]}
     if C2 is not None:
-        obj["C"] = ser.complex_matrix_to_json(C2)
+        obj["C"] = ser.complex_matrix_to_json(C2.tolist())
     _emit(obj, args.out)
     return 0
 

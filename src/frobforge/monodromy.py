@@ -16,9 +16,10 @@ K S K differs from S only in rows and columns i and i+1, so S moves by an
 O(n) update that uses only +, - and * on its entries (with a = i, b = i+1
 for sigma_i and a, b swapped for its inverse: row a <- row b - s row a,
 row b <- old row a, then the same on columns).  Everything on S is exact:
-integer entries stay Python ints, every other entry is a Fraction.  C and
-the compatibility check run at configurable mpmath precision; C moves by the
-product C K.
+integer entries stay Python ints, every other entry is a Fraction.  C is an
+mpmath matrix at the ambient mpmath precision, rounded once on entry, and
+moves by the same column update, each new entry an ``fdot`` rounded once as
+in the product C K.  The compatibility check runs at the data's own ``dps``.
 
 For P^d the connection matrix is assembled as C = C' C'': columns of C'' are
 the degree components of e^{2 pi i (j-1) h} (h the hyperplane class), and C'
@@ -63,16 +64,10 @@ def default_dps() -> int:
     raise ValidationError(f"FROBFORGE_PRECISION must be an integer >= {MIN_DPS}, got {text!r}")
 
 
-def _to_mp_matrix(rows, dps) -> mp.matrix:
-    with mp.workdps(dps):
-        m = mp.matrix(len(rows), len(rows[0]))
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                if isinstance(x, Fraction):
-                    m[i, j] = mp.mpf(x.numerator) / mp.mpf(x.denominator)
-                else:
-                    m[i, j] = mp.mpc(x)
-        return m
+def _mp_matrix(rows) -> mp.matrix:
+    """``rows`` (nested lists or an mp.matrix) as a new mp.matrix, each entry
+    rounded once to the working precision."""
+    return mp.matrix(rows).apply(lambda x: +x)
 
 
 @dataclass
@@ -99,8 +94,8 @@ class MonodromyData:
                 if S[i][j] != 0:
                     problems.append("Stokes matrix must be upper triangular")
         with mp.workdps(self.dps):
-            G = _to_mp_matrix(self.form, self.dps)
-            M = _to_mp_matrix(self.mu, self.dps)
+            G = _mp_matrix(self.form)
+            M = _mp_matrix(self.mu)
             skew = G * M + M.T * G
             if max(abs(x) for x in skew) > mp.mpf(10) ** (5 - self.dps):
                 problems.append("mu is not skew-symmetric with respect to the form")
@@ -126,10 +121,10 @@ def check_compatibility(data: MonodromyData) -> CompatibilityReport:
     if data.connection is None:
         raise ValidationError("monodromy data has no connection matrix")
     with mp.workdps(data.dps):
-        S = _to_mp_matrix(data.stokes, data.dps)
-        G = _to_mp_matrix(data.form, data.dps)
-        M = _to_mp_matrix(data.mu, data.dps)
-        R = _to_mp_matrix(data.r, data.dps)
+        S = _mp_matrix(data.stokes)
+        G = _mp_matrix(data.form)
+        M = _mp_matrix(data.mu)
+        R = _mp_matrix(data.r)
         C = data.connection
         rhs = C.T * (G * mp.expm(mp.pi * 1j * M) * mp.expm(mp.pi * 1j * R)) * C
         residual = max(abs(rhs[i, j] - S[i, j]) for i in range(data.n) for j in range(data.n))
@@ -140,26 +135,29 @@ def check_compatibility(data: MonodromyData) -> CompatibilityReport:
 
 def _exact(x):
     """x as an int when it is an integer, otherwise as a Fraction."""
-    if type(x) is int:
-        return x
     x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
 
-def _as_exact(S) -> Matrix:
-    return [[_exact(x) for x in row] for row in S]
-
-
-def _check_stokes_shape(S: Matrix) -> None:
+def _braid_pair(S, C):
+    """S as a new exact matrix, checked unit upper triangular, and C (when
+    given) as a new mp.matrix, checked to have one column per row of S."""
+    # ints, the usual entries, skip the Fraction round trip: every move checks S
+    S = [[x if type(x) is int else _exact(x) for x in row] for row in S]
     n = len(S)
-    for i in range(n):
-        if len(S[i]) != n:
+    for i, row in enumerate(S):
+        if len(row) != n:
             raise ValidationError("Stokes matrix must be square")
-        if S[i][i] != 1:
+        if row[i] != 1:
             raise ValidationError("Stokes matrix must have unit diagonal")
-        for j in range(i):
-            if S[i][j] != 0:
-                raise ValidationError("Stokes matrix must be upper triangular")
+        if any(row[:i]):
+            raise ValidationError("Stokes matrix must be upper triangular")
+    if C is None:
+        return S, None
+    C = _mp_matrix(C)
+    if C.cols != n:
+        raise ValidationError(f"C must have {n} columns, got {C.cols}")
+    return S, C
 
 
 @dataclass
@@ -170,74 +168,54 @@ class BraidMove:
     k: Matrix
 
 
-def _braid_k(S: Matrix, i0: int, inverse: bool) -> Matrix:
-    n = len(S)
-    K = [[Fraction(1) if a == b else Fraction(0) for b in range(n)] for a in range(n)]
-    s = Fraction(S[i0][i0 + 1])  # an all-Fraction K enters _to_mp_matrix as real mpf entries
-    K[i0][i0 + 1] = Fraction(1)
-    K[i0 + 1][i0] = Fraction(1)
-    if inverse:
-        K[i0][i0] = Fraction(0)
-        K[i0 + 1][i0 + 1] = -s
-    else:
-        K[i0][i0] = -s
-        K[i0 + 1][i0 + 1] = Fraction(0)
-    return K
-
-
-def _braid_update(S: Matrix, i0: int, inverse: bool) -> None:
-    """S -> K S K in place, touching only rows and columns i0 and i0 + 1."""
+def _braid_update(S: Matrix, C: mp.matrix | None, i0: int, inverse: bool) -> None:
+    """S -> K S K and C -> C K in place, touching only rows and columns i0 and
+    i0 + 1 of S and those two columns of C."""
     s = S[i0][i0 + 1]
     a, b = (i0 + 1, i0) if inverse else (i0, i0 + 1)
     S[a], S[b] = [y - s * x for x, y in zip(S[a], S[b])], S[a]
     for row in S:
         row[a], row[b] = row[b] - s * row[a], row[a]
+    if C is not None:
+        for r in range(C.rows):
+            C[r, a], C[r, b] = mp.fdot([(C[r, b], 1), (C[r, a], -s)]), C[r, a]
 
 
 def braid_move(S, i: int, inverse: bool = False) -> BraidMove:
     """The mutation matrix K^(i)(S) for the generator sigma_i (1-based)."""
-    S = _as_exact(S)
+    S, _ = _braid_pair(S, None)
     n = len(S)
     if not 1 <= i <= n - 1:
         raise ValidationError(f"generator index {i} out of range 1..{n - 1}")
-    _check_stokes_shape(S)
-    return BraidMove(i, _braid_k(S, i - 1, inverse))
+    i0 = i - 1
+    s = S[i0][i0 + 1]
+    K = [[int(a == b) for b in range(n)] for a in range(n)]
+    K[i0][i0 + 1] = K[i0 + 1][i0] = 1
+    K[i0][i0], K[i0 + 1][i0 + 1] = (0, -s) if inverse else (-s, 0)
+    return BraidMove(i, K)
 
 
 def braid_act(S, C=None, i: int = 1, inverse: bool = False):
     """Apply the braid generator sigma_i (or its inverse): S -> KSK, C -> CK.
 
-    S is exact and moves by the O(n) row-and-column update; C (optional) may
-    be an mpmath matrix or nested lists.  Returns (S', C') with C' None when
-    no C was given."""
-    S = _as_exact(S)
+    S is exact and moves by the O(n) row-and-column update.  C (optional:
+    nested lists or an mp.matrix) becomes an mp.matrix at the ambient mpmath
+    precision, each entry rounded once, and moves by the matching column
+    update.  Returns new (S', C') with C' None when no C was given."""
+    S, C = _braid_pair(S, C)
     n = len(S)
     if not 1 <= i <= n - 1:
         raise ValidationError(f"generator index {i} out of range 1..{n - 1}")
-    _check_stokes_shape(S)
-    C2 = None
-    if C is not None:
-        K = _braid_k(S, i - 1, inverse)
-        if isinstance(C, mp.matrix):
-            Km = _to_mp_matrix(K, mp.mp.dps)
-            C2 = C * Km
-        elif all(isinstance(x, (int, Fraction, str)) for row in C for x in row):
-            C2 = mat_mul(_as_exact(C), K)
-        else:
-            rows, cols = len(C), len(C[0])
-            C2 = [
-                [
-                    sum(complex(C[i][k]) * complex(K[k][j]) for k in range(cols))
-                    for j in range(cols)
-                ]
-                for i in range(rows)
-            ]
-    _braid_update(S, i - 1, inverse)
-    return S, C2
+    _braid_update(S, C, i - 1, inverse)
+    return S, C
 
 
 def braid_word(S, C=None, word: Sequence[int] = ()):  # e.g. (1, -2, 1)
-    """Apply a word of generators; negative entries are inverse generators."""
+    """Apply a word of generators; negative entries are inverse generators.
+
+    S is validated and C converted as in braid_act before the first letter,
+    so the empty word returns checked copies."""
+    S, C = _braid_pair(S, C)
     for g in word:
         if g == 0:
             raise ValidationError("generator 0 is meaningless")
@@ -295,27 +273,17 @@ def sign_canonical(S: Matrix, C=None):
           for i, row in enumerate(S)]
     C2 = None
     if C is not None:
-        if isinstance(C, mp.matrix):
-            C2 = C.copy()
-            for j in range(n):
-                for i in range(C.rows):
-                    C2[i, j] = C[i, j] * signs[j]
-        else:
-            C2 = [[C[i][j] * signs[j] for j in range(n)] for i in range(len(C))]
+        C2 = _mp_matrix(C)
+        for j in range(n):
+            if signs[j] < 0:
+                for i in range(C2.rows):
+                    C2[i, j] = -C2[i, j]
     return S2, C2
 
 
-def _orbit_key(S: Matrix, C) -> tuple:
-    skey = tuple(tuple(x for x in row) for row in S)
-    if C is None:
-        return skey
-    if isinstance(C, mp.matrix):
-        ckey = tuple(
-            (mp.nstr(C[i, j], 10)) for i in range(C.rows) for j in range(C.cols)
-        )
-    else:
-        ckey = tuple(repr(x) for row in C for x in row)
-    return skey + (ckey,)
+def _orbit_key(S: Matrix, C: mp.matrix | None) -> tuple:
+    key = tuple(tuple(row) for row in S)
+    return key if C is None else key + (tuple(mp.nstr(x, 10) for x in C),)
 
 
 @dataclass
@@ -331,13 +299,13 @@ class BraidOrbit:
 
 def braid_orbit(S, C=None, depth: int = 3, cap: int = 1000) -> BraidOrbit:
     """Breadth-first closure under sigma_i^{+-1} up to ``depth``, deduplicated
-    modulo sign diagonals; stops (with a flag) once ``cap`` classes are held."""
+    modulo sign diagonals; stops (with a flag) once ``cap`` classes are held.
+    C, when given, moves as an mp.matrix at the ambient mpmath precision."""
     if depth < 0:
         raise ValidationError("depth must be >= 0")
     if cap < 1:
         raise ValidationError("cap must be >= 1")
-    S = _as_exact(S)
-    _check_stokes_shape(S)
+    S, C = _braid_pair(S, C)
     n = len(S)
     start = sign_canonical(S, C)
     seen = {_orbit_key(*start)}

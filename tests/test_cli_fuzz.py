@@ -175,8 +175,9 @@ def test_mutated_stokes_gives_documented_exit(path, value, delete, word):
     ((1,), [0, 1, 3, 4], ["braid", "--word", "1"], "schema-error: "),
     ((), STOKES, ["braid", "--word", "1,x"], "usage-error: "),
     ((), STOKES, ["orbit", "--cap", "0"], "schema-error: "),
+    ((1, 0), 5, ["braid", "--word", ""], "schema-error: "),  # the empty word checks S too
 ], ids=["entry-x", "entry-null", "object", "entry-true", "entry-float", "long-row", "word-x",
-        "cap-0"])
+        "cap-0", "lower-empty-word"])
 def test_bad_stokes_input_is_diagnosed(path, value, argv, prefix):
     [(argv, code, err)] = run_on_file(mutated(STOKES, path, value, False), [argv], "--s")
     assert code == 1 and err.startswith(prefix), (argv, code, err)

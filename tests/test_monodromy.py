@@ -117,7 +117,18 @@ def test_braid_transforms_connection_column_action():
     # C' = C K: roundtrip through the inverse generator restores both
     S3, C3 = braid_act(S2, C2, 1, inverse=True)
     assert S3 == [[Fraction(x) for x in row] for row in S]
-    assert C3 == [[Fraction(x) for x in row] for row in C]
+    assert isinstance(C3, mp.matrix) and C3.tolist() == C
+
+
+def test_empty_word_returns_checked_copies():
+    with pytest.raises(ValidationError):
+        braid_word([[1, 2], [5, 1]], None, ())
+    S, C = [[1, Fraction(2)], [0, 1]], [[1 + 2j, 0.5], [0j, 1 - 1j]]
+    S2, C2 = braid_word(S, C, ())
+    assert S2 == S and S2 is not S and type(S2[0][1]) is int
+    assert isinstance(C2, mp.matrix) and C2.tolist() == C
+    with pytest.raises(ValidationError):
+        braid_word(S, [[1, 0, 0], [0, 1, 0]], ())
 
 
 def test_char_poly_exact():
@@ -224,9 +235,10 @@ def test_braid_act_handles_complex_list_connection():
     C = [[1 + 2j, 0.5], [0j, 1 - 1j]]
     S2, C2 = braid_act([[1, 2], [0, 1]], C, 1)
     # K = [[-2, 1], [1, 0]]: columns of C' are C K
-    assert C2[0][0] == -2 * (1 + 2j) + 0.5
-    assert C2[0][1] == 1 + 2j
-    assert C2[1][1] == 0j
+    assert isinstance(C2, mp.matrix)
+    assert C2[0, 0] == -2 * (1 + 2j) + 0.5
+    assert C2[0, 1] == 1 + 2j
+    assert C2[1, 1] == 0j
 
 
 def test_trivial_compatibility_identity():

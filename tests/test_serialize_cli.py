@@ -231,6 +231,25 @@ def test_cli_braid_and_orbit(tmp_path, capsys):
     assert orb["size"] == 1
 
 
+def test_cli_braid_moves_connection(tmp_path, capsys):
+    s, c = tmp_path / "s.json", tmp_path / "c.json"
+    s.write_text("[[1,3,3],[0,1,3],[0,0,1]]")
+    C = [[1 + 2j, 0.5, -1j], [0.25, 1 - 1j, 2], [3, 0, 1j]]
+    c.write_text(json.dumps([[complex_to_json(x) for x in row] for row in C]))
+
+    def braid(word):
+        assert main(["braid", "--s", str(s), "--c", str(c), "--word", word]) == 0
+        out = json.loads(capsys.readouterr().out)
+        return out["S"], [[complex_from_json(x) for x in row] for row in out["C"]]
+
+    assert braid("") == ([["1", "3", "3"], ["0", "1", "3"], ["0", "0", "1"]], C)
+    # sigma_1 with s_12 = 3: K = [[-3, 1, 0], [1, 0, 0], [0, 0, 1]] and C' = C K
+    K = [[-3, 1, 0], [1, 0, 0], [0, 0, 1]]
+    CK = [[sum(C[r][k] * K[k][j] for k in range(3)) for j in range(3)] for r in range(3)]
+    assert braid("1") == ([["1", "-3", "-6"], ["0", "1", "3"], ["0", "0", "1"]], CK)
+    assert braid("1,-1")[1] == C
+
+
 def test_cli_descendents_on_series_chart(tmp_path):
     chart_path = tmp_path / "p2.json"
     main(["qh-p2", "--degree", "2", "--out", str(chart_path)])
