@@ -36,9 +36,11 @@ from .errors import (
 from .frames import (
     CanonicalFrame,
     ChartEvaluator,
+    FrameStack,
     ViSet,
     canonical_coordinates,
     canonical_frame,
+    canonical_frames,
     vi_matrices,
 )
 from .isomonodromy import (

@@ -20,7 +20,7 @@ from .charts import check_wdvv, virasoro_central_charge
 from .deformed import deformed_flat_coordinates, pairing_holds
 from .descendents import flow_commutator_jets, hierarchy_flow, omega_table
 from .errors import FrobforgeError, NumericError, SemisimplicityError, ValidationError
-from .frames import ChartEvaluator, canonical_coordinates, canonical_frame
+from .frames import ChartEvaluator, canonical_coordinates, canonical_frames
 from .isomonodromy import IsomonodromyState, g_function, integrate
 from .linalg import is_constant_multiple
 from .monodromy import (
@@ -187,7 +187,7 @@ def criterion_6(seed: int = 0) -> CriterionResult:
     c = 1 / np.sqrt(complex(np.linalg.det(eta)))
     worst_psi, worst_spec, worst_j = 0.0, 0.0, 0.0
     ratios = set()
-    frames = [canonical_frame(ev, t) for s, t, u in points]
+    frames = list(canonical_frames(ev, [t for s, t, u in points]))
     for fr in frames:
         worst_psi = max(worst_psi, float(np.max(np.abs(fr.psi.T @ fr.psi - eta))))
         spec_v = sorted(np.linalg.eigvals(fr.v), key=lambda z: (z.real, z.imag))

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .charts import FMChart, mu_matrix, structure_constants
-from .errors import NumericError, SemisimplicityError
+from .errors import NumericError, SemisimplicityError, ValidationError
 from .series import ExpSeries
 
 DEFAULT_MARGIN = 1e-6
@@ -67,24 +67,30 @@ class ChartEvaluator:
         entries = [p for plane in structure_constants(chart) for line in plane for p in line]
         if isinstance(chart.potential, ExpSeries):
             entries = [p.poly for p in entries]
-            self._lift = chart.potential.lift_point
+            self._marker = chart.potential.marker_var
         else:
-            self._lift = np.asarray
+            self._marker = None
         self.E, self.C = _compile(entries)
         mu = mu_matrix(chart)
         self.mu = np.array([[float(x) for x in row] for row in mu])
         self.mu_diag = tuple(mu[i][i] for i in range(self.n))
 
     def c_tensor(self, t: np.ndarray) -> np.ndarray:
+        """c_{ab}^g at one point t (n,), or at each point of a stack (m, n)
+        with the point axis in front."""
         n = self.n
-        mono = np.prod(np.asarray(self._lift(t)) ** self.E, axis=1)
-        return (mono @ self.C).reshape(n, n, n)
+        x = np.asarray(t, dtype=complex)
+        if self._marker is not None:  # lift to (t, q = e^{t_marker})
+            x = np.concatenate((x, np.exp(x[..., self._marker, None])), axis=-1)
+        mono = np.prod(x[..., None, :] ** self.E, axis=-1)
+        return (mono @ self.C).reshape(*x.shape[:-1], n, n, n)
 
     def third(self, t: np.ndarray) -> np.ndarray:
         return np.einsum("abg,ge->abe", self.c_tensor(t), self.eta)
 
     def euler(self, t: np.ndarray) -> np.ndarray:
-        return self.e_lin @ t + self.e_const
+        """E(t) at one point or at each point of a stack, as c_tensor."""
+        return t @ self.e_lin.T + self.e_const
 
     def euler_mult(self, t: np.ndarray) -> np.ndarray:
         """Matrix of multiplication by E(t): rows g, columns b."""
@@ -120,21 +126,36 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n, 1)
 
 
+def _separation(u: np.ndarray, margin: float):
+    """Gaps |u_i - u_j| of one point u (n,) or of each point of a stack
+    (m, n), pairs i < j in row-major order along the first axis; the limit
+    margin * max|u| of each point; and whether each point clears it.  A
+    non-finite gap never does: NaN compares False against any limit."""
+    i, j = _pairs(u.shape[-1])
+    u = u.T  # coordinates first, so one index reaches every point
+    limit = margin * np.abs(u).max(axis=0)
+    gaps = np.abs(u[i] - u[j])
+    return gaps, limit, (gaps > limit).all(axis=0)
+
+
+def _collision(what: str, n: int, gaps, limit) -> SemisimplicityError:
+    """The error naming the first failing pair among one point's n coordinates."""
+    i, j = _pairs(n)
+    k = int(np.argmin(gaps > limit))
+    return SemisimplicityError(
+        f"{what}: |u_{i[k] + 1} - u_{j[k] + 1}| = {gaps[k]:.3e} (margin {limit:.3e})"
+    )
+
+
 def _require_separated(
     u: np.ndarray, margin: float, what: str = "canonical coordinates collide"
 ) -> None:
     """Raise SemisimplicityError naming the first pair (i < j, row-major) with
-    |u_i - u_j| <= margin * max|u|."""
+    |u_i - u_j| <= margin * max|u| or a non-finite gap."""
     u = np.asarray(u)
-    limit = margin * max(np.abs(u).max(), 1e-300)
-    i, j = _pairs(len(u))
-    gaps = np.abs(u[i] - u[j])
-    close = gaps <= limit
-    if close.any():
-        k = int(np.argmax(close))
-        raise SemisimplicityError(
-            f"{what}: |u_{i[k] + 1} - u_{j[k] + 1}| = {gaps[k]:.3e} (margin {limit:.3e})"
-        )
+    gaps, limit, separated = _separation(u, margin)
+    if not separated:
+        raise _collision(what, len(u), gaps, limit)
 
 
 @dataclass
@@ -165,14 +186,47 @@ class CanonicalFrame:
         return complex(np.linalg.det(self.idempotents))
 
 
+class FrameStack:
+    """Frames at m points, stacked on a leading axis: each field is the
+    CanonicalFrame field of every point (u, norms and ordering m x n; psi, v
+    and idempotents m x n x n; defect of length m), and ``stack[k]`` is the
+    CanonicalFrame of point k.  A plain class, since a dataclass costs about a
+    millisecond at import."""
+
+    def __init__(self, u, psi, mu_diag, v, idempotents, norms, ordering, defect):
+        self.u, self.psi, self.mu_diag, self.v = u, psi, mu_diag, v
+        self.idempotents, self.norms = idempotents, norms
+        self.ordering, self.defect = ordering, defect
+
+    def __len__(self) -> int:
+        return len(self.u)
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    def __getitem__(self, k: int) -> CanonicalFrame:
+        return CanonicalFrame(
+            u=self.u[k],
+            psi=self.psi[k],
+            mu_diag=self.mu_diag,
+            v=self.v[k],
+            idempotents=self.idempotents[k],
+            norms=self.norms[k],
+            ordering=tuple(self.ordering[k].tolist()),
+            defect=float(self.defect[k]),
+        )
+
+
 def _product(c: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Row-wise algebra products: row i is x_i * y_i, i.e. c_{ab}^g x_ia y_ib."""
-    n = c.shape[0]
-    return (X[:, :, None] * Y[:, None, :]).reshape(len(X), n * n) @ c.reshape(n * n, n)
+    """Row-wise algebra products over a stack: row i of point k is
+    x_ki * y_ki, i.e. c_{ab}^g x_kia y_kib."""
+    m, n = X.shape[:2]
+    return (X[..., None] * Y[:, :, None, :]).reshape(m, n, n * n) @ c.reshape(m, n * n, n)
 
 
-def canonical_frame(chart, t) -> CanonicalFrame:
-    """Idempotent frame, Psi matrix and V at a semisimple point.
+def canonical_frames(chart, T) -> FrameStack:
+    """Idempotent frames, Psi matrices and V at a stack T (m x n) of
+    semisimple points, every step done for all m points at once.
 
     Raw eigenvectors of the (generally non-normal) multiplication operator
     can carry errors far above machine precision, so each candidate
@@ -182,70 +236,99 @@ def canonical_frame(chart, t) -> CanonicalFrame:
     The residual of Psi^T Psi = eta measures the frame quality; it can only
     be large when the multiplication itself fails to be associative at the
     point (e.g. far outside the reliable domain of a truncated potential);
-    a residual above FRAME_TOL is always a hard error.  Canonical coordinates
-    closer than DEFAULT_MARGIN * max|u| raise SemisimplicityError."""
+    a residual above FRAME_TOL, and any non-finite u, Psi, V or residual, is
+    always a hard error.  Canonical coordinates closer than DEFAULT_MARGIN *
+    max|u| raise SemisimplicityError.  The error raised is the one of the
+    first failing point, as canonical_frame at that point alone raises it."""
     ev = _as_evaluator(chart)
-    n = ev.n
-    tt = _as_point(t)
-    c = ev.c_tensor(tt)
-    e_vec = ev.euler(tt)
-    M = np.einsum("a,abg->gb", e_vec, c)
-    w, vecs = np.linalg.eig(M)
-    _require_separated(w, DEFAULT_MARGIN)
+    T = np.asarray(T, dtype=complex)
+    if T.ndim != 2 or T.shape[1] != ev.n:
+        raise ValidationError(f"points must form an m x {ev.n} stack, got shape {T.shape}")
+    pts, rows = np.arange(len(T))[:, None], np.arange(ev.n)
+    checks = []  # (failing points, error of point k) in the order a point meets them
 
-    # rows of P are the candidate idempotents, purified together
-    rows = np.arange(n)
-    P = vecs.T
-    sq = _product(c, P, P)
-    j = np.argmax(np.abs(P), axis=1)
-    lam = sq[rows, j] / P[rows, j]
-    if np.abs(lam).min() < 1e-13:
-        raise SemisimplicityError("nilpotent direction: eigenvector squares to ~0")
-    P = P / lam[:, None]
-    for _ in range(8):
-        sq = _product(c, P, P)
-        active = np.abs(sq - P).max(axis=1) >= 1e-14
-        if not active.any():
-            break
-        cube = _product(c, sq, P)
-        P = np.where(active[:, None], 3 * sq - 2 * cube, P)
-    j = np.argmax(np.abs(P), axis=1)
-    refined_u = (P @ M.T)[rows, j] / P[rows, j]
+    def at_largest(X: np.ndarray, P: np.ndarray) -> np.ndarray:
+        """X_kij / P_kij at the largest |P_kij| of each row i of each point k."""
+        j = np.argmax(np.abs(P), axis=-1)
+        return X[pts, rows, j] / P[pts, rows, j]
 
-    order = np.lexsort((refined_u.imag, refined_u.real))
-    u = refined_u[order]
-    _require_separated(u, DEFAULT_MARGIN)
-    idem = P[order]
+    def separated(u: np.ndarray) -> None:
+        gaps, limit, ok = _separation(u, DEFAULT_MARGIN)
+        checks.append((~ok, lambda k: _collision(
+            "canonical coordinates collide", ev.n, gaps[:, k], limit[k])))
 
-    lowered = idem @ ev.eta
-    norms = np.sum(lowered * idem, axis=1)
-    if np.abs(norms).min() < 1e-13:
-        raise NumericError("frame breakdown: an idempotent has ~zero square norm")
-    psi = lowered / np.sqrt(norms)[:, None]
+    # a failed point computes on to garbage that nothing reads: no warnings
+    with np.errstate(all="ignore"):
+        c = ev.c_tensor(T)
+        M = np.einsum("ma,mabg->mgb", ev.euler(T), c)
+        finite = np.isfinite(M).all(axis=(1, 2))
+        checks.append((~finite, lambda k: NumericError(
+            "frame breakdown: the multiplication by E is not finite at this point")))
+        w, vecs = np.linalg.eig(M if finite.all() else np.where(finite[:, None, None], M, 0))
+        separated(w)
 
-    defect = float(np.abs(psi.T @ psi - ev.eta).max())
-    if defect > FRAME_TOL:
-        raise NumericError(
-            f"frame breakdown: |Psi^T Psi - eta| = {defect:.2e} at this point "
+        # rows of P[k] are the candidate idempotents of point k, purified together
+        P = np.swapaxes(vecs, 1, 2)
+        lam = at_largest(_product(c, P, P), P)
+        checks.append((np.abs(lam).min(axis=1) < 1e-13, lambda k: SemisimplicityError(
+            "nilpotent direction: eigenvector squares to ~0")))
+        P = P / lam[..., None]
+        for _ in range(8):
+            sq = _product(c, P, P)
+            active = np.abs(sq - P).max(axis=-1) >= 1e-14
+            if not active.any():
+                break
+            cube = _product(c, sq, P)
+            P = np.where(active[..., None], 3 * sq - 2 * cube, P)
+        refined_u = at_largest(P @ np.swapaxes(M, 1, 2), P)
+        checks.append((~np.isfinite(refined_u).all(axis=1), lambda k: NumericError(
+            "frame breakdown: the idempotent purification diverged at this point "
+            "(the multiplication is not associative to working accuracy here)")))
+
+        order = np.lexsort((refined_u.imag, refined_u.real), axis=-1)
+        u = refined_u[pts, order]
+        separated(u)
+        idem = P[pts, order]
+
+        lowered = idem @ ev.eta
+        norms = np.sum(lowered * idem, axis=-1)
+        checks.append((np.abs(norms).min(axis=1) < 1e-13, lambda k: NumericError(
+            "frame breakdown: an idempotent has ~zero square norm")))
+        psi = lowered / np.sqrt(norms)[..., None]
+        psi_t = np.swapaxes(psi, 1, 2)
+        defect = np.abs(psi_t @ psi - ev.eta).max(axis=(1, 2))
+
+        # V = Psi mu Psi^{-1} with Psi^{-1} = eta^{-1} Psi^T, made exactly skew:
+        # a - b is exactly -(b - a) in IEEE arithmetic and halving is exact
+        v = psi @ (ev.mu @ ev.eta_inv) @ psi_t
+        v = (v - np.swapaxes(v, 1, 2)) / 2
+        checks.append((~(np.isfinite(defect) & np.isfinite(v).all(axis=(1, 2))),
+                       lambda k: NumericError("frame breakdown: non-finite Psi or V at this point")))
+        checks.append((defect > FRAME_TOL, lambda k: NumericError(
+            f"frame breakdown: |Psi^T Psi - eta| = {defect[k]:.2e} at this point "
             "(the multiplication is not associative to working accuracy here; "
             "for truncated potentials move to a better-converged region)"
-        )
-
-    # V = Psi mu Psi^{-1} with Psi^{-1} = eta^{-1} Psi^T, made exactly skew:
-    # a - b is exactly -(b - a) in IEEE arithmetic and halving is exact
-    v = psi @ (ev.mu @ ev.eta_inv) @ psi.T
-    v = (v - v.T) / 2
-
-    return CanonicalFrame(
+        )))
+    failing = np.array([bad for bad, _ in checks])
+    if failing.any():
+        k = int(np.argmax(failing.any(axis=0)))
+        raise checks[int(np.argmax(failing[:, k]))][1](k)
+    return FrameStack(
         u=u,
         psi=psi,
         mu_diag=ev.mu_diag,
         v=v,
         idempotents=idem,
         norms=norms,
-        ordering=tuple(int(x) for x in order),
+        ordering=order,
         defect=defect,
     )
+
+
+def canonical_frame(chart, t) -> CanonicalFrame:
+    """Idempotent frame, Psi matrix and V at one semisimple point: the stack
+    of that point alone through canonical_frames, with its checks and errors."""
+    return canonical_frames(chart, _as_point(t)[None])[0]
 
 
 @dataclass
@@ -261,13 +344,12 @@ class ViSet:
 
 
 def _over_gaps(u: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """R_{jk} = V_{jk} / (u_j - u_k) off the diagonal, R_{jj} = 0."""
-    diagonal = slice(None, None, len(u) + 1)
-    gaps = u[:, None] - u
-    gaps.flat[diagonal] = 1
-    R = V / gaps
-    R.flat[diagonal] = 0
-    return R
+    """R_{jk} = V_{jk} / (u_j - u_k) off the diagonal, R_{jj} = 0, over
+    stacks u (..., n) and V (..., n, n) alike."""
+    n = u.shape[-1]
+    gaps = u[..., :, None] - u[..., None, :]
+    gaps.reshape(*gaps.shape[:-2], n * n)[..., :: n + 1] = np.inf  # V_jj / inf = 0
+    return V / gaps
 
 
 def vi_matrices(u, V) -> ViSet:

@@ -14,8 +14,10 @@ evolving it, which is what the G-function
     G = log tau - (1/24) log J,   J = det(dt^a/du_i)
 
 needs: differences of G between chart points are quadratures of exact frame
-data, with no ODE drift.  log J follows J^2 through the frames the quadrature
-reads; J^2 does not depend on how the u_i are labelled.
+data, with no ODE drift.  Each quadrature level reads its new nodes as one
+frame stack (``canonical_frames``) and evaluates the integrand over the stack.
+log J follows J^2 through the frames the quadrature reads; J^2 does not
+depend on how the u_i are labelled.
 """
 
 from __future__ import annotations
@@ -27,12 +29,12 @@ import numpy as np
 from .errors import NumericError, require_positive
 from .frames import (
     DEFAULT_MARGIN,
-    CanonicalFrame,
     _as_evaluator,
     _over_gaps,
     _pairs,
     _require_separated,
-    canonical_frame,
+    canonical_frame,  # unused here; perfbench's tracer wraps it under this module's name
+    canonical_frames,
     match_ordering,  # unused here; perfbench's tracer wraps it under this module's name
     vi_matrices,
 )
@@ -75,8 +77,9 @@ class IsomonodromyState:
 
 
 def hamiltonians(u: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """H_i = 1/2 sum_{j != i} V_ij^2 / (u_i - u_j); their sum vanishes."""
-    return 0.5 * (V * _over_gaps(u, V)).sum(axis=1)
+    """H_i = 1/2 sum_{j != i} V_ij^2 / (u_i - u_j); their sum vanishes.  Over
+    stacks u (..., n) and V (..., n, n) alike."""
+    return 0.5 * (V * _over_gaps(u, V)).sum(axis=-1)
 
 
 def flow_rhs(i: int, state: IsomonodromyState) -> np.ndarray:
@@ -214,6 +217,7 @@ def integrate(state0: IsomonodromyState, path, tol: float = 1e-10) -> Isomonodro
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 MAX_LEVEL = 12  # finest dyadic level of the tau quadrature: 2^MAX_LEVEL panels
+STACK_CHUNK = 512  # most points read as one frame stack, which caps peak memory
 
 
 @dataclass
@@ -241,7 +245,9 @@ def g_function(chart, t0, t1, tol: float = 1e-9) -> GValue:
 
     V(u) is read off the chart's own frames at quadrature nodes (no ODE
     drift).  The tau quadrature doubles its panels from 2^2 until two levels
-    agree to ``tol`` (finite, > 0); then Delta log J = 1/2 sum_k
+    agree to ``tol`` (finite, > 0); each level's new nodes are read as one
+    frame stack (in chunks of STACK_CHUNK points), and the integrand is
+    evaluated over the stack.  Then Delta log J = 1/2 sum_k
     Log(J_k^2 / J_{k-1}^2) over every frame read so far, ends included, in
     sigma order.  Relabelling the u's only flips the sign of J, so J^2 needs
     no matching of labels.  A step with |J_k^2 / J_{k-1}^2 - 1| > 0.7 sends
@@ -251,23 +257,27 @@ def g_function(chart, t0, t1, tol: float = 1e-9) -> GValue:
     t0 = np.array([complex(x) for x in t0], dtype=complex)
     t1 = np.array([complex(x) for x in t1], dtype=complex)
     dt = t1 - t0
-    cache: dict[float, CanonicalFrame] = {}
+    jacobians: dict[float, complex] = {}  # J at every sigma read, the ends included
+    integrand: dict[float, complex] = {}  # sum_i H_i du_i/dsig there
+    defects: list[float] = []
 
-    def frame_at(sig: float) -> CanonicalFrame:
-        if sig not in cache:
-            cache[sig] = canonical_frame(ev, t0 + sig * dt)
-        return cache[sig]
-
-    def integrand(sig: float) -> complex:
-        fr = frame_at(sig)
-        # du_i/dsig from dt = idempotents^T du
-        udot = np.linalg.solve(fr.idempotents.T, dt)
-        H = hamiltonians(fr.u, fr.v)
-        return complex(np.dot(H, udot))
+    def read(sigs: list[float]) -> None:
+        """Frames at the sigmas not read yet, one stack per STACK_CHUNK of them."""
+        new = [sig for sig in sigs if sig not in jacobians]
+        for k in range(0, len(new), STACK_CHUNK):
+            chunk = new[k:k + STACK_CHUNK]
+            fr = canonical_frames(ev, t0 + np.array(chunk)[:, None] * dt)
+            # du_i/dsig from dt = idempotents^T du
+            rhs = np.broadcast_to(dt[:, None], (len(chunk), len(dt), 1))
+            udot = np.linalg.solve(np.swapaxes(fr.idempotents, 1, 2), rhs)[..., 0]
+            values = np.sum(hamiltonians(fr.u, fr.v) * udot, axis=1)
+            jacobians.update(zip(chunk, np.linalg.det(fr.idempotents).tolist()))
+            integrand.update(zip(chunk, values.tolist()))
+            defects.append(float(fr.defect.max()))
 
     def log_j() -> complex | None:
-        """1/2 Delta log J^2 through the cached frames, None if a step jumps."""
-        squares = np.array([cache[sig].J for sig in sorted(cache)]) ** 2
+        """1/2 Delta log J^2 through the frames read, None if a step jumps."""
+        squares = np.array([jacobians[sig] for sig in sorted(jacobians)]) ** 2
         ratios = squares[1:] / squares[:-1]
         if np.abs(ratios - 1.0).max() > 0.7:
             return None
@@ -275,18 +285,18 @@ def g_function(chart, t0, t1, tol: float = 1e-9) -> GValue:
 
     # reading the end frames first rejects an end point on the caustic before
     # any quadrature; both are steps of the log J tracking
-    frame_at(0.0)
-    frame_at(1.0)
+    read([0.0, 1.0])
     prev = None
     converged = False
     for level in range(2, MAX_LEVEL + 1):
         panels = 2**level
-        total = 0j
-        for p in range(panels):
-            a, b = p / panels, (p + 1) / panels
-            mid, half = (a + b) / 2, (b - a) / 2
-            for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-                total += w * integrand(mid + half * x) * half
+        p = np.arange(panels)
+        a, b = p / panels, (p + 1) / panels
+        mid, half = (a + b) / 2, (b - a) / 2
+        sigs = (mid[:, None] + half[:, None] * _GL_NODES).ravel().tolist()
+        read(sigs)
+        values = np.array([integrand[sig] for sig in sigs]).reshape(panels, len(_GL_NODES))
+        total = complex(np.sum(_GL_WEIGHTS * values * half[:, None]))
         if prev is not None and abs(total - prev) <= tol / 4:
             converged = True
             d_log_j = log_j()
@@ -297,8 +307,8 @@ def g_function(chart, t0, t1, tol: float = 1e-9) -> GValue:
                     total,
                     d_log_j,
                     level=level,
-                    frames=len(cache),
-                    max_defect=max(fr.defect for fr in cache.values()),
+                    frames=len(jacobians),
+                    max_defect=max(defects),
                 )
         prev = total
     if converged:

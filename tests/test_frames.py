@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobforge.charts import FMChart, structure_constants, third_derivatives
-from frobforge.errors import NumericError, SemisimplicityError
+from frobforge.errors import NumericError, SemisimplicityError, ValidationError
 from frobforge.frames import (
     ChartEvaluator,
+    _require_separated,
     canonical_coordinates,
     canonical_frame,
+    canonical_frames,
     match_ordering,
     vi_matrices,
 )
@@ -287,3 +289,120 @@ def test_compiled_tensors_match_term_by_term_evaluation(chart):
                            for b in range(n)] for a in range(n)])
         for got, ref in ((ev.c_tensor(t), ref_c), (ev.third(t), ref_f)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_compiled_tensors_over_a_stack_match_each_point():
+    # P2@5 goes through the lift to (t, e^{t2}) of an exponential series
+    for chart in (build_an_chart(4), build_p2_chart(5)):
+        ev = ChartEvaluator(chart)
+        rng = np.random.default_rng(4)
+        T = 0.4 * rng.normal(size=(6, chart.n)) + 0.2j * rng.normal(size=(6, chart.n))
+        for of in (ev.c_tensor, ev.euler):
+            got = of(T)
+            assert got.shape[0] == 6
+            for k, t in enumerate(T):
+                assert np.max(np.abs(got[k] - of(t))) <= 1e-13 * np.max(np.abs(got[k]))
+
+
+def _semisimple_points(ev, centre, count, seed):
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < count:
+        t = np.asarray(centre) + 0.3 * rng.normal(size=ev.n) + 0.2j * rng.normal(size=ev.n)
+        try:
+            canonical_frame(ev, t)
+        except NumericError:
+            continue
+        points.append(t)
+    return np.array(points)
+
+
+@pytest.mark.parametrize("chart, centre", [
+    (build_an_chart(3), [0.8] * 3), (build_an_chart(5), [0.8] * 5), (build_p2_chart(5), [0.3, -2.0, 0.5]),
+], ids=["A3", "A5", "P2@5"])
+def test_canonical_frames_match_the_frame_of_each_point(chart, centre):
+    ev = ChartEvaluator(chart)
+    T = _semisimple_points(ev, centre, 24, 11)
+    stack = canonical_frames(ev, T)
+    assert len(stack) == len(T)
+    for k, t in enumerate(T):
+        one, fr = canonical_frame(ev, t), stack[k]
+        for field in ("u", "psi", "v", "idempotents", "norms"):
+            assert np.max(np.abs(getattr(fr, field) - getattr(one, field))) <= 1e-13
+        assert fr.ordering == one.ordering
+        assert fr.mu_diag == one.mu_diag
+        assert abs(fr.defect - one.defect) <= 1e-13
+    for bad in (T[0], T[:, :-1]):
+        with pytest.raises(ValidationError, match="stack"):
+            canonical_frames(ev, bad)
+
+
+def _non_associative_a4():
+    # A4 + (1/3) t2 t3^2 t4^3 fails WDVV; its third derivatives all vanish
+    # where t2 = t4 = 0, so frames exist there
+    a4 = build_an_chart(4)
+    return dataclasses.replace(
+        a4, potential=a4.potential + MultiPoly.monomial(4, (0, 1, 2, 3), Fraction(1, 3))
+    )
+
+
+def _error_of(fn, *args):
+    with pytest.raises(NumericError) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def test_a_stack_raises_the_error_of_its_first_failing_point():
+    a3 = ChartEvaluator(build_an_chart(3))
+    good = _semisimple_points(a3, [0.8] * 3, 3, 2)
+    caustic = np.array([0, 0, -1])  # u_2 = u_3 exactly
+    stack = np.array([good[0], good[1], caustic, good[2]])
+    assert _error_of(canonical_frames, a3, stack) == _error_of(canonical_frame, a3, caustic)
+    # an overflowing c-tensor is named, and does not stop the eigen-solve of
+    # the whole stack
+    overflow = np.array([0.2, 1e200, 1.1])
+    overflow_error = _error_of(canonical_frame, a3, overflow)
+    assert overflow_error == (NumericError, "frame breakdown: the multiplication by E is "
+                                            "not finite at this point")
+    assert _error_of(canonical_frames, a3, [good[0], overflow, caustic]) == overflow_error
+
+    bad = ChartEvaluator(_non_associative_a4())
+    fine, broken, origin = [0.3, 0, 0.5, 0], [0.3, -0.2, 0.5, 1.1], [0, 0, 0, 0]
+    assert canonical_frame(bad, fine).defect < 1e-13
+    broken_error = _error_of(canonical_frame, bad, broken)
+    assert broken_error[0] is NumericError
+    assert broken_error[1].startswith("frame breakdown")
+    assert _error_of(canonical_frames, bad, [fine, broken, fine]) == broken_error
+    # the origin fails the first check (u all zero), the broken point a later
+    # one: the first point in the stack decides, not the first check
+    origin_error = _error_of(canonical_frame, bad, origin)
+    assert origin_error[0] is SemisimplicityError
+    assert _error_of(canonical_frames, bad, [broken, origin]) == broken_error
+    assert _error_of(canonical_frames, bad, [origin, broken]) == origin_error
+
+
+def test_non_finite_frames_are_rejected_on_a_non_associative_chart():
+    # NaN compares False against every tolerance; no frame with a non-finite
+    # u, Psi, V or defect may come back
+    ev = ChartEvaluator(_non_associative_a4())
+    rng = np.random.default_rng(0)
+    breakdowns = 0
+    for _ in range(200):
+        t = rng.normal(size=4) + 1j * rng.normal(size=4)
+        try:
+            fr = canonical_frame(ev, t)
+        except NumericError as exc:
+            breakdowns += str(exc).startswith("frame breakdown")
+            continue
+        for x in (fr.u, fr.psi, fr.v, fr.defect):
+            assert np.all(np.isfinite(x))
+    assert breakdowns >= 190
+    with pytest.raises(NumericError, match="^frame breakdown"):
+        canonical_frame(ev, [0.3, -0.2, 0.5, 1.1])
+
+
+def test_a_non_finite_gap_counts_as_a_collision():
+    for u in ([0, np.nan, 1], [0, 1, np.inf], [np.nan, np.nan]):
+        with pytest.raises(SemisimplicityError, match="collide"):
+            _require_separated(np.array(u, dtype=complex), 1e-6)
+    _require_separated(np.array([0, 1, 2], dtype=complex), 1e-6)

@@ -6,7 +6,7 @@ import pytest
 
 from frobforge import isomonodromy
 from frobforge.errors import NumericError, SemisimplicityError, ValidationError
-from frobforge.frames import ChartEvaluator
+from frobforge.frames import FRAME_TOL, ChartEvaluator
 from frobforge.isomonodromy import (
     IsomonodromyState,
     _directional_flow,
@@ -17,6 +17,8 @@ from frobforge.isomonodromy import (
     skew_from_upper,
     upper_of,
 )
+from frobforge.poly import MultiPoly
+from frobforge.projective import build_p2_chart
 from frobforge.unfolding import build_an_chart
 
 
@@ -185,7 +187,7 @@ def test_bad_tolerance_is_rejected_before_any_frame_or_step(monkeypatch, tol):
     def no_frames(*args, **kwargs):
         raise AssertionError("a frame was computed")
 
-    monkeypatch.setattr(isomonodromy, "canonical_frame", no_frames)
+    monkeypatch.setattr(isomonodromy, "canonical_frames", no_frames)
     st = IsomonodromyState.from_matrix([0, 1, 2 + 1j], random_skew(3, 5))
     with pytest.raises(ValidationError, match="tol must be finite and > 0"):
         integrate(st, [[0.5, 1, 2 + 1j]], tol=tol)
@@ -336,17 +338,15 @@ def test_g_function_rejects_a_jump_in_log_j(monkeypatch):
     # control: doubling one idempotent row of the t1 end frame quadruples J^2
     # in the last tracking step, which fails the ratio guard at every level
     t0, t1 = [0.2, 0.4, 1.1], [0.5, 0.1, 1.4]
-    real = isomonodromy.canonical_frame
+    real = isomonodromy.canonical_frames
 
-    def doubled_at_t1(ev, t):
-        fr = real(ev, t)
-        if np.allclose(t, t1):
-            idem = fr.idempotents.copy()
-            idem[0] *= 2
-            fr = dataclasses.replace(fr, idempotents=idem)
-        return fr
+    def doubled_at_t1(ev, T):
+        frs = real(ev, T)
+        frs.idempotents = frs.idempotents.copy()
+        frs.idempotents[np.all(np.isclose(T, t1), axis=1), 0] *= 2
+        return frs
 
-    monkeypatch.setattr(isomonodromy, "canonical_frame", doubled_at_t1)
+    monkeypatch.setattr(isomonodromy, "canonical_frames", doubled_at_t1)
     monkeypatch.setattr(isomonodromy, "MAX_LEVEL", 4)
     with pytest.raises(NumericError, match="log J"):
         g_function(ChartEvaluator(build_an_chart(3)), t0, t1, tol=1e-9)
@@ -405,15 +405,83 @@ def test_g_function_of_the_projective_line():
 
 def test_g_function_rejects_a_caustic_end_point_before_quadrature(monkeypatch):
     # u_2 = u_3 exactly at t1 = (0, 0, -1) on A3: the end frames are read
-    # before any quadrature node, so the call fails after at most two frames
-    calls = []
-    real = isomonodromy.canonical_frame
+    # before any quadrature node, so the call fails after at most two points
+    points = []
+    real = isomonodromy.canonical_frames
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(ev, T):
+        points.extend(T)
+        return real(ev, T)
 
-    monkeypatch.setattr(isomonodromy, "canonical_frame", counting)
+    monkeypatch.setattr(isomonodromy, "canonical_frames", counting)
     with pytest.raises(NumericError):
         g_function(build_an_chart(3), [0.2, 0.4, 1.1], [0, 0, -1])
-    assert 1 <= len(calls) <= 2
+    assert 1 <= len(points) <= 2
+
+
+# Seeded segments with the (level, frames, Delta G, Delta log tau) that G gave
+# when it read one frame per call: reading each level as a stack must change
+# none of them.  The A5 segments reach levels 5 and 7; level 7 reads 1024 new
+# nodes, more than one STACK_CHUNK.
+G_GOLDEN = {
+    "P2@8": [
+        ([0.3 - 0.178j, -1.91 - 0.091j, 0.418 - 0.198j],
+         [0.306 - 0.24j, -1.776 - 0.042j, 0.369 - 0.163j],
+         3, 98, -0.016749999999006192 - 0.006125000005263028j,
+         -0.022335989844982918 - 0.008178403072673453j),
+        ([0.332 + 0.139j, -2.279 - 0.269j, 0.491 - 0.092j],
+         [0.142 + 0.116j, -2.408 - 0.396j, 0.307 - 0.064j],
+         3, 98, 0.016125000004453476 + 0.015875000003539103j,
+         0.021522200228658472 + 0.02114496879758568j),
+        ([0.347 - 0.108j, -2.056 - 0.01j, -0.255 + 0.023j],
+         [0.194 - 0.189j, -2.104 + 0.096j, -0.353 - 0.058j],
+         3, 98, 0.006000000000105219 - 0.013250000000491697j,
+         0.008007999162973444 - 0.017655332945314826j),
+    ],
+    "A5": [
+        ([0.8 - 0.149j, 0.89 + 0.009j, 0.718 + 0.201j, 0.533 - 0.074j, 0.664 - 0.093j],
+         [0.849 - 0.079j, 0.925 - 0.125j, 0.728 + 0.155j, 0.44 - 0.264j, 0.661 - 0.222j],
+         3, 98, 1.240327285323417e-16 - 3.469446951953614e-17j,
+         -0.001896777735478324 + 0.012334375794580561j),
+        ([0.673 + 0.04j, 0.917 - 0.033j, 0.703 + 0.163j, 1.127 + 0.067j, 0.482 + 0.765j],
+         [1.572 + 0.36j, 1.815 - 1.4j, -0.521 + 0.868j, 0.923 + 0.707j, 0.117 - 0.016j],
+         5, 482, 1.5265566588595902e-16 + 1.3877787807814457e-16j,
+         -0.06691200272478137 + 0.06739139659351044j),
+        ([0.144 - 0.274j, 0.825 + 0.213j, 0.414 + 0.347j, 1.103 - 0.647j, -0.014 - 0.149j],
+         [0.341 - 0.903j, 0.459 + 1.057j, 1.368 + 0.334j, 0.388 - 0.87j, 0.199 - 1.18j],
+         7, 2018, 2.6194324487249787e-16 - 1.2073675392798577e-15j,
+         0.003975806620882957 - 0.07545675136636894j),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(G_GOLDEN))
+def test_g_function_reproduces_its_golden_segments(name):
+    ev = ChartEvaluator(build_p2_chart(8) if name == "P2@8" else build_an_chart(5))
+    for t0, t1, level, frames, delta_g, d_log_tau in G_GOLDEN[name]:
+        gv = g_function(ev, t0, t1, tol=1e-9)
+        assert (gv.level, gv.frames) == (level, frames)
+        assert abs(gv.delta_g - delta_g) <= 1e-12
+        assert abs(gv.d_log_tau - d_log_tau) <= 1e-12
+        assert gv.max_defect < FRAME_TOL
+
+
+def test_g_function_names_a_frame_breakdown_on_a_non_associative_chart():
+    # A4 + (1/3) t2 t3^2 t4^3: the frames at the ends are non-finite, which
+    # once surfaced as "tau quadrature did not converge"
+    a4 = build_an_chart(4)
+    bad = dataclasses.replace(
+        a4, potential=a4.potential + MultiPoly.monomial(4, (0, 1, 2, 3), Fraction(1, 3))
+    )
+    with pytest.raises(NumericError, match="^frame breakdown"):
+        g_function(bad, [0.3, -0.2, 0.5, 1.1], [0.4, -0.2, 0.5, 1.1])
+
+
+def test_hamiltonians_broadcast_over_a_stack():
+    rng = np.random.default_rng(6)
+    U = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    V = np.array([random_skew(4, seed) for seed in range(5)])
+    H = hamiltonians(U, V)
+    assert H.shape == (5, 4)
+    for k in range(5):
+        assert np.max(np.abs(H[k] - hamiltonians(U[k], V[k]))) == 0

@@ -345,6 +345,19 @@ def test_cli_wdvv_failure_exit_code(tmp_path):
     assert main(["wdvv-check", "--chart", str(bad)]) == 2
 
 
+def test_cli_canonical_rejects_a_non_finite_frame(tmp_path, capsys):
+    # A4 + (1/3) t2 t3^2 t4^3 is not associative: its frame at this point
+    # diverges to NaN, which must surface as a numeric error, not as output
+    blob = chart_to_json(build_an_chart(4))
+    blob["potential"]["terms"].append({"coeff": "1/3", "exps": [0, 1, 2, 3]})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(blob))
+    assert main(["canonical", "--chart", str(bad), "--t", "0.3,-0.2,0.5,1.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numeric-error: frame breakdown")
+
+
 def test_cli_error_paths(tmp_path, capsys):
     # malformed JSON -> validation exit code 1
     bad = tmp_path / "bad.json"
