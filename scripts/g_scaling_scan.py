@@ -5,7 +5,8 @@ For the unfolding charts the increment of G along the scaling flow is a
 point-independent constant (here it comes out zero: the tau and Jacobian
 parts cancel, log tau = (1/24) log J up to a constant on these charts).  The
 scan prints the measured per-unit-flow increments and their spread, the
-median quadrature level and frame count of the G calls, and exits 1 when a rank finds fewer than POINTS base points whose G converges.
+median count of accepted quadrature panels and of frames read per G call, and
+exits 1 when a rank finds fewer than POINTS base points whose G converges.
 """
 
 import sys
@@ -26,7 +27,7 @@ def main() -> int:
         weights = [float(chart.euler_linear[i][i]) for i in range(n)]
         rng = np.random.default_rng(1)
         lam = 0.25
-        vals, levels, frames = [], [], []
+        vals, panels, frames = [], [], []
         tries = 0
         while len(vals) < POINTS and tries < 100:
             tries += 1
@@ -37,13 +38,13 @@ def main() -> int:
             except FrobforgeError:
                 continue
             vals.append(gv.delta_g / lam)
-            levels.append(gv.level)
+            panels.append(gv.panels)
             frames.append(gv.frames)
         vals = np.array(vals)
         print(
             f"A{n}: scaling dG/dlambda over {len(vals)} base points: "
             f"mean={np.mean(vals):+.3e}  std={np.std(vals):.3e}  "
-            f"median level={np.median(levels):g}  median frames={np.median(frames):g}"
+            f"median panels={np.median(panels):g}  median frames={np.median(frames):g}"
         )
         if len(vals) < POINTS:
             print(f"A{n}: only {len(vals)} of {POINTS} base points converged", file=sys.stderr)

@@ -14,10 +14,13 @@ evolving it, which is what the G-function
     G = log tau - (1/24) log J,   J = det(dt^a/du_i)
 
 needs: differences of G between chart points are quadratures of exact frame
-data, with no ODE drift.  Each quadrature level reads its new nodes as one
-frame stack (``canonical_frames``) and evaluates the integrand over the stack.
-log J follows J^2 through the frames the quadrature reads; J^2 does not
-depend on how the u_i are labelled.
+data, with no ODE drift.  The tau quadrature runs on adaptive Gauss-Kronrod
+7-15 panels: each round reads the Kronrod nodes of every pending panel as
+one frame stack (``canonical_frames``), accepts a panel of width w when
+|K15 - G7| <= (tol / 4) w and bisects the rest.  The stop is absolute per
+unit width because Delta G is compared with absolute closed forms.  log J
+follows J^2 through the frames the quadrature reads; J^2 does not depend on
+how the u_i are labelled.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, require_positive
+from .errors import NumericError, ValidationError, require_positive
 from .frames import (
     DEFAULT_MARGIN,
     _as_evaluator,
@@ -116,6 +119,17 @@ _DP_B4 = np.array((5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 
 MAX_STEPS = 200_000  # accepted plus rejected steps before integrate gives up
 
 
+def _finite_point(t, n: int, what: str) -> np.ndarray:
+    """t as a complex vector of n finite components, or ValidationError."""
+    try:
+        p = np.array([complex(x) for x in t], dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be a sequence of numbers: {exc}") from exc
+    if len(p) != n or not np.isfinite(p).all():
+        raise ValidationError(f"{what} must have {n} finite components, got {p.tolist()}")
+    return p
+
+
 @dataclass
 class TrajectorySample:
     param: float
@@ -146,19 +160,22 @@ def integrate(state0: IsomonodromyState, path, tol: float = 1e-10) -> Isomonodro
 
     ``path`` is a sequence of u-waypoints starting the continuation from
     state0.u; log tau accumulates through the same error-controlled steps,
-    whose local error is held below ``tol`` (finite, > 0).  A step that would
-    bring two u_i within DEFAULT_MARGIN * max|u| raises SemisimplicityError,
-    and more than MAX_STEPS steps raise NumericError."""
+    whose local error is held below ``tol`` (finite, > 0).  The state and
+    every waypoint must be finite with n components, which is checked before
+    any step.  A step that would bring two u_i within DEFAULT_MARGIN * max|u|
+    raises SemisimplicityError, and more than MAX_STEPS steps raise
+    NumericError."""
     require_positive(tol, "tol")
     n = state0.n
-    u0 = np.array(state0.u, dtype=complex)
-    waypoints = [np.array([complex(x) for x in w], dtype=complex) for w in path]
+    n_upper = n * (n - 1) // 2
+    u0 = _finite_point(state0.u, n, "u")
+    v0 = _finite_point(state0.v_upper, n_upper, f"the upper triangle of V for n = {n}")
+    waypoints = [_finite_point(w, n, "every waypoint") for w in path]
     if not waypoints or not np.allclose(waypoints[0], u0):
         waypoints = [u0] + waypoints
 
     traj = IsomonodromyTrajectory()
-    y = np.concatenate([np.array(state0.v_upper, dtype=complex), [0j]])
-    n_upper = n * (n - 1) // 2
+    y = np.concatenate([v0, [0j]])
     upper = _pairs(n)
 
     def record(param: float, u: np.ndarray, yv: np.ndarray) -> None:
@@ -215,23 +232,47 @@ def integrate(state0: IsomonodromyState, path, tol: float = 1e-10) -> Isomonodro
 
 # -- chart-driven G-function ---------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-MAX_LEVEL = 12  # finest dyadic level of the tau quadrature: 2^MAX_LEVEL panels
+# Gauss-Kronrod 7-15 pair (QUADPACK qk15; Piessens et al. 1983): the
+# non-negative Kronrod nodes, outermost first, and the K15 and G7 weights
+# there.  Every second Kronrod node, from the second, is a Gauss node.
+_XK = (
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.000000000000000000000000000000000,
+)
+_WK = (
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+)
+_WG = (
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+)
+# the 15 nodes on [-1, 1] in ascending order, and the rows K15, G7 of weights
+# over them (G7 is zero at the Kronrod-only nodes)
+_GK_NODES = np.concatenate((-np.array(_XK), _XK[-2::-1]))
+_HALF_WEIGHTS = np.array((_WK, [0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3]]))
+_GK_WEIGHTS = np.concatenate((_HALF_WEIGHTS, _HALF_WEIGHTS[:, -2::-1]), axis=1)
+MIN_WIDTH = 2.0**-12  # narrowest tau quadrature panel, as a fraction of the segment
 STACK_CHUNK = 512  # most points read as one frame stack, which caps peak memory
 
 
 @dataclass
 class GValue:
     """Difference of the G-function between two chart points, with what it
-    cost and how sure it is: the tau quadrature level reached, the number of
-    distinct frames evaluated and the largest frame defect |Psi^T Psi - eta|
-    among them."""
+    cost and how sure it is: the tau quadrature panels accepted, their summed
+    error estimate |K15 - G7|, the number of distinct frames evaluated and the
+    largest frame defect |Psi^T Psi - eta| among them."""
 
     base_point: tuple[complex, ...]
     target_point: tuple[complex, ...]
     d_log_tau: complex
     d_log_j: complex
-    level: int
+    panels: int
+    error: float
     frames: int
     max_defect: float
 
@@ -244,73 +285,99 @@ def g_function(chart, t0, t1, tol: float = 1e-9) -> GValue:
     """Delta G = Delta log tau - (1/24) Delta log J along the straight t-segment.
 
     V(u) is read off the chart's own frames at quadrature nodes (no ODE
-    drift).  The tau quadrature doubles its panels from 2^2 until two levels
-    agree to ``tol`` (finite, > 0); each level's new nodes are read as one
-    frame stack (in chunks of STACK_CHUNK points), and the integrand is
-    evaluated over the stack.  Then Delta log J = 1/2 sum_k
-    Log(J_k^2 / J_{k-1}^2) over every frame read so far, ends included, in
-    sigma order.  Relabelling the u's only flips the sign of J, so J^2 needs
-    no matching of labels.  A step with |J_k^2 / J_{k-1}^2 - 1| > 0.7 sends
-    the loop on to the next level; none goes past 2^MAX_LEVEL panels."""
+    drift).  The tau quadrature runs on adaptive Gauss-Kronrod 7-15 panels of
+    the segment parameter sigma in [0, 1], starting from one panel.  Each
+    round reads the 15 Kronrod nodes of every pending panel as one frame stack
+    (in chunks of STACK_CHUNK points); a panel of width w is accepted when
+    |K15 - G7| <= (tol / 4) w and bisected otherwise, and Delta log tau is the
+    sum of K15 over the accepted panels.  The stop is absolute per unit width,
+    so the summed estimate is at most tol / 4 however the segment is cut, and
+    Delta G carries an absolute error: it is compared with absolute closed
+    forms (0 on the A_n charts, -Delta t_2 / 24 on QH(P^1), the Euler-flow
+    constant), which a stop relative to |Delta log tau| would not bound.
+
+    Delta log J = 1/2 sum_k Log(J_k^2 / J_{k-1}^2) over every frame read,
+    ends included, in sigma order.  Relabelling the u's only flips the sign of
+    J, so J^2 needs no matching of labels.  An accepted panel that holds a
+    step with |J_k^2 / J_{k-1}^2 - 1| > 0.7 is bisected and read
+    again.  No panel is cut below MIN_WIDTH: a split that would be raises
+    NumericError.  The end points (n finite components each) and ``tol``
+    (finite, > 0) are checked before any frame, and the end frames are read
+    before any node, so a caustic end point fails after at most two points."""
     require_positive(tol, "tol")
     ev = _as_evaluator(chart)
-    t0 = np.array([complex(x) for x in t0], dtype=complex)
-    t1 = np.array([complex(x) for x in t1], dtype=complex)
+    t0 = _finite_point(t0, ev.n, "t0")
+    t1 = _finite_point(t1, ev.n, "t1")
     dt = t1 - t0
-    jacobians: dict[float, complex] = {}  # J at every sigma read, the ends included
-    integrand: dict[float, complex] = {}  # sum_i H_i du_i/dsig there
+    sigmas: list[np.ndarray] = []  # every sigma read, the ends included
+    jacobians: list[np.ndarray] = []  # J there
     defects: list[float] = []
 
-    def read(sigs: list[float]) -> None:
-        """Frames at the sigmas not read yet, one stack per STACK_CHUNK of them."""
-        new = [sig for sig in sigs if sig not in jacobians]
-        for k in range(0, len(new), STACK_CHUNK):
-            chunk = new[k:k + STACK_CHUNK]
-            fr = canonical_frames(ev, t0 + np.array(chunk)[:, None] * dt)
+    def read(sigs: np.ndarray) -> np.ndarray:
+        """sum_i H_i du_i/dsig at each sigma, one frame stack per STACK_CHUNK
+        of them; records J and the frame defect."""
+        values = []
+        for k in range(0, len(sigs), STACK_CHUNK):
+            chunk = sigs[k:k + STACK_CHUNK]
+            fr = canonical_frames(ev, t0 + chunk[:, None] * dt)
             # du_i/dsig from dt = idempotents^T du
             rhs = np.broadcast_to(dt[:, None], (len(chunk), len(dt), 1))
             udot = np.linalg.solve(np.swapaxes(fr.idempotents, 1, 2), rhs)[..., 0]
-            values = np.sum(hamiltonians(fr.u, fr.v) * udot, axis=1)
-            jacobians.update(zip(chunk, np.linalg.det(fr.idempotents).tolist()))
-            integrand.update(zip(chunk, values.tolist()))
+            values.append(np.sum(hamiltonians(fr.u, fr.v) * udot, axis=1))
+            sigmas.append(chunk)
+            jacobians.append(np.linalg.det(fr.idempotents))
             defects.append(float(fr.defect.max()))
+        return np.concatenate(values)
 
-    def log_j() -> complex | None:
-        """1/2 Delta log J^2 through the frames read, None if a step jumps."""
-        squares = np.array([jacobians[sig] for sig in sorted(jacobians)]) ** 2
+    def log_j() -> tuple[complex, np.ndarray, np.ndarray]:
+        """1/2 Delta log J^2 through the frames read, and the sigma intervals
+        (lo, hi) of the steps that jump."""
+        sig = np.concatenate(sigmas)
+        order = np.argsort(sig)
+        sig, squares = sig[order], np.concatenate(jacobians)[order] ** 2
         ratios = squares[1:] / squares[:-1]
-        if np.abs(ratios - 1.0).max() > 0.7:
-            return None
-        return complex(np.log(ratios).sum()) / 2
+        jumps = np.abs(ratios - 1.0) > 0.7
+        return complex(np.log(ratios).sum()) / 2, sig[:-1][jumps], sig[1:][jumps]
 
-    # reading the end frames first rejects an end point on the caustic before
-    # any quadrature; both are steps of the log J tracking
-    read([0.0, 1.0])
-    prev = None
-    converged = False
-    for level in range(2, MAX_LEVEL + 1):
-        panels = 2**level
-        p = np.arange(panels)
-        a, b = p / panels, (p + 1) / panels
-        mid, half = (a + b) / 2, (b - a) / 2
-        sigs = (mid[:, None] + half[:, None] * _GL_NODES).ravel().tolist()
-        read(sigs)
-        values = np.array([integrand[sig] for sig in sigs]).reshape(panels, len(_GL_NODES))
-        total = complex(np.sum(_GL_WEIGHTS * values * half[:, None]))
-        if prev is not None and abs(total - prev) <= tol / 4:
-            converged = True
-            d_log_j = log_j()
-            if d_log_j is not None:
-                return GValue(
-                    tuple(complex(x) for x in t0),
-                    tuple(complex(x) for x in t1),
-                    total,
-                    d_log_j,
-                    level=level,
-                    frames=len(jacobians),
-                    max_defect=max(defects),
-                )
-        prev = total
-    if converged:
-        raise NumericError("log J branch tracking failed; refine the path")
-    raise NumericError("tau quadrature did not converge at the requested tolerance")
+    def bisect(panels: np.ndarray, failure: str) -> np.ndarray:
+        """Both halves of each panel; NumericError(failure) if a half would
+        be narrower than MIN_WIDTH."""
+        if len(panels) and np.diff(panels).min() / 2 < MIN_WIDTH:
+            raise NumericError(failure)
+        halves = np.repeat(panels, 2, axis=0)
+        halves[::2, 1] = halves[1::2, 0] = panels.mean(axis=1)
+        return halves
+
+    read(np.array([0.0, 1.0]))
+    pending = np.array([[0.0, 1.0]])  # panels (a, b) to read
+    panels = np.empty((0, 2))  # accepted panels, with their K15 and |K15 - G7|
+    k15s = np.empty(0, dtype=complex)
+    errors = np.empty(0)
+    while len(pending):
+        a, b = pending.T
+        half = (b - a) / 2
+        nodes = (a + half)[:, None] + half[:, None] * _GK_NODES
+        values = read(nodes.ravel()).reshape(nodes.shape)
+        k15, g7 = (values @ _GK_WEIGHTS.T * half[:, None]).T
+        err = np.abs(k15 - g7)
+        ok = err <= tol / 4 * (b - a)
+        panels = np.concatenate((panels, pending[ok]))
+        k15s = np.concatenate((k15s, k15[ok]))
+        errors = np.concatenate((errors, err[ok]))
+        d_log_j, lo, hi = log_j()
+        jumped = ((panels[:, :1] < hi) & (lo < panels[:, 1:])).any(axis=1)
+        pending = np.concatenate((
+            bisect(pending[~ok], "tau quadrature did not converge at the requested tolerance"),
+            bisect(panels[jumped], "log J branch tracking failed; refine the path"),
+        ))
+        panels, k15s, errors = panels[~jumped], k15s[~jumped], errors[~jumped]
+    return GValue(
+        tuple(complex(x) for x in t0),
+        tuple(complex(x) for x in t1),
+        complex(k15s[np.argsort(panels[:, 0])].sum()),
+        d_log_j,
+        panels=len(panels),
+        error=float(errors.sum()),
+        frames=sum(len(s) for s in sigmas),
+        max_defect=max(defects),
+    )

@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -182,17 +183,33 @@ def test_integrate_rejects_caustic_paths():
         integrate(st, [[1.0, 1.0]], tol=1e-9)
 
 
-@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
-def test_bad_tolerance_is_rejected_before_any_frame_or_step(monkeypatch, tol):
+# (tol, G end point, integrate waypoint, message): a bad tolerance, then
+# malformed points, each rejected as ValidationError before numpy sees it
+_BAD_INPUTS = [
+    *(pytest.param(tol, [0.9, 0.4, 1.1], [0.5, 1, 2 + 1j], "tol must be finite and > 0", id=str(tol))
+      for tol in (-1.0, 0.0, float("nan"), float("inf"))),
+    pytest.param(1e-9, [0.5, 0.1], [0.5, 1], "must have 3 finite components", id="short-point"),
+    pytest.param(1e-9, [0.5, 0.1, 1.4, 2], [0.5, 1, 2 + 1j, 4], "must have 3 finite components",
+                 id="long-point"),
+    pytest.param(1e-9, [0.5, float("inf"), 1.4], [0.5, 1, float("nan")],
+                 "must have 3 finite components", id="non-finite-point"),
+    pytest.param(1e-9, [0.5, "x", 1.4], [0.5, None, 1], "must be a sequence of numbers",
+                 id="non-numeric-point"),
+]
+
+
+@pytest.mark.parametrize("tol, t1, waypoint, message", _BAD_INPUTS)
+def test_bad_tolerance_is_rejected_before_any_frame_or_step(monkeypatch, tol, t1, waypoint, message):
     def no_frames(*args, **kwargs):
         raise AssertionError("a frame was computed")
 
     monkeypatch.setattr(isomonodromy, "canonical_frames", no_frames)
+    monkeypatch.setattr(isomonodromy, "_directional_flow", no_frames)
     st = IsomonodromyState.from_matrix([0, 1, 2 + 1j], random_skew(3, 5))
-    with pytest.raises(ValidationError, match="tol must be finite and > 0"):
-        integrate(st, [[0.5, 1, 2 + 1j]], tol=tol)
-    with pytest.raises(ValidationError, match="tol must be finite and > 0"):
-        g_function(build_an_chart(3), [0.2, 0.4, 1.1], [0.9, 0.4, 1.1], tol=tol)
+    with pytest.raises(ValidationError, match=message):
+        integrate(st, [waypoint], tol=tol)
+    with pytest.raises(ValidationError, match=message):
+        g_function(build_an_chart(3), [0.2, 0.4, 1.1], t1, tol=tol)
 
 
 def test_upper_roundtrip():
@@ -207,12 +224,38 @@ def test_g_function_zero_segment():
 
 
 def test_g_value_reports_its_diagnostics():
-    # 32 + 64 Gauss nodes at quadrature levels 2 and 3, plus the two end
-    # frames: 98 distinct frames, which also carry the log J tracking
+    # one Gauss-Kronrod panel settles this segment: its 15 nodes plus the two
+    # end frames, which also carry the log J tracking
     ev = ChartEvaluator(build_an_chart(3))
     gv = g_function(ev, [0.2, 0.4, 1.1], [0.5, 0.1, 1.4], tol=1e-9)
-    assert (gv.level, gv.frames) == (3, 98)
+    assert (gv.panels, gv.frames) == (1, 17)
+    assert 0 < gv.error <= 1e-9 / 4
     assert 0 < gv.max_defect < 1e-10
+
+
+def _rule_miss(nodes, weights, degree):
+    """Largest |sum_i w_i x_i^k - int_{-1}^1 x^k dx| over k = 0..degree."""
+    k = np.arange(degree + 1)
+    exact = np.where(k % 2 == 0, 2 / (k + 1), 0.0)
+    return np.abs(nodes ** k[:, None] @ weights - exact).max()
+
+
+def test_gauss_kronrod_table():
+    # K15 integrates polynomials of degree <= 22 exactly and its G7 part those
+    # of degree <= 13; the Gauss part is numpy's 7-point Gauss-Legendre rule
+    nodes, (k15, g7) = isomonodromy._GK_NODES, isomonodromy._GK_WEIGHTS
+    assert _rule_miss(nodes, k15, 22) < 5e-16
+    assert _rule_miss(nodes, g7, 13) < 5e-16
+    assert abs(k15.sum() - 2) < 5e-16 and abs(g7.sum() - 2) < 5e-16
+    gauss_nodes, gauss_weights = np.polynomial.legendre.leggauss(7)
+    assert np.abs(nodes[g7 != 0] - gauss_nodes).max() < 1e-15
+    assert np.abs(g7[g7 != 0] - gauss_weights).max() < 1e-15
+    # control: one weight off in its 15th decimal place misses
+    bent = k15.copy()
+    bent[3] += 1e-15
+    assert _rule_miss(nodes, bent, 22) >= 5e-16
+    # and neither rule is exact one even degree further
+    assert _rule_miss(nodes, k15, 24) > 1e-9 and _rule_miss(nodes, g7, 14) > 1e-5
 
 
 def test_g_function_unity_invariance():
@@ -336,7 +379,8 @@ def test_g_function_path_independence():
 
 def test_g_function_rejects_a_jump_in_log_j(monkeypatch):
     # control: doubling one idempotent row of the t1 end frame quadruples J^2
-    # in the last tracking step, which fails the ratio guard at every level
+    # in the last tracking step, which fails the ratio guard however finely
+    # the last panel is cut
     t0, t1 = [0.2, 0.4, 1.1], [0.5, 0.1, 1.4]
     real = isomonodromy.canonical_frames
 
@@ -347,9 +391,17 @@ def test_g_function_rejects_a_jump_in_log_j(monkeypatch):
         return frs
 
     monkeypatch.setattr(isomonodromy, "canonical_frames", doubled_at_t1)
-    monkeypatch.setattr(isomonodromy, "MAX_LEVEL", 4)
+    monkeypatch.setattr(isomonodromy, "MIN_WIDTH", 2.0**-4)
     with pytest.raises(NumericError, match="log J"):
         g_function(ChartEvaluator(build_an_chart(3)), t0, t1, tol=1e-9)
+
+
+def test_g_function_rejects_an_unreachable_tolerance(monkeypatch):
+    # control: no panel of width >= 1/2 meets tol 1e-300, so the error test
+    # asks for a split below MIN_WIDTH
+    monkeypatch.setattr(isomonodromy, "MIN_WIDTH", 0.5)
+    with pytest.raises(NumericError, match="tau quadrature did not converge"):
+        g_function(ChartEvaluator(build_an_chart(3)), [0.2, 0.4, 1.1], [0.5, 0.1, 1.4], tol=1e-300)
 
 
 def _misses_with_one_over_25(gv, expected):
@@ -403,6 +455,28 @@ def test_g_function_of_the_projective_line():
         assert _misses_with_one_over_25(gv, expected)
 
 
+def test_g_function_counts_the_genus_one_invariants_of_the_plane():
+    # QH(P^2): G = -t2/8 + sum_d N1_d e^{d t2} t3^{3d} / (3d)! (Getzler,
+    # alg-geom/9612004).  At t2 = -3 on the circle t3 = 2.4 e^{i theta} the
+    # Cauchy sums of Delta G from (0, -3, 0) over 48 angles return N1_d for
+    # d <= 5; with 1/25 in place of 1/24 they miss from d = 3 on
+    ev = ChartEvaluator(build_p2_chart(12))
+    radius, angles = 2.4, 48
+    theta = 2 * np.pi * np.arange(angles) / angles
+    gvs = [g_function(ev, [0, -3, 0], [0, -3, radius * np.exp(1j * th)]) for th in theta]
+
+    def counts(over):
+        dg = np.array([gv.d_log_tau - gv.d_log_j / over for gv in gvs])
+        return np.array([
+            np.mean(dg * np.exp(-3j * d * theta)) * factorial(3 * d) / (np.exp(-3 * d) * radius ** (3 * d))
+            for d in range(1, 6)
+        ])
+
+    genus_one = np.array([0, 0, 1, 225, 87192])
+    assert np.abs(counts(24) - genus_one).max() < 1e-3
+    assert (np.abs(counts(25) - genus_one)[2:] > 1e-3).all()
+
+
 def test_g_function_rejects_a_caustic_end_point_before_quadrature(monkeypatch):
     # u_2 = u_3 exactly at t1 = (0, 0, -1) on A3: the end frames are read
     # before any quadrature node, so the call fails after at most two points
@@ -419,37 +493,36 @@ def test_g_function_rejects_a_caustic_end_point_before_quadrature(monkeypatch):
     assert 1 <= len(points) <= 2
 
 
-# Seeded segments with the (level, frames, Delta G, Delta log tau) that G gave
-# when it read one frame per call: reading each level as a stack must change
-# none of them.  The A5 segments reach levels 5 and 7; level 7 reads 1024 new
-# nodes, more than one STACK_CHUNK.
+# Seeded segments with (panels, frames) of the panel rule, and the Delta G and
+# Delta log tau taken from an independent quadrature: doubling Gauss-Legendre
+# levels with one frame read per call.
 G_GOLDEN = {
     "P2@8": [
         ([0.3 - 0.178j, -1.91 - 0.091j, 0.418 - 0.198j],
          [0.306 - 0.24j, -1.776 - 0.042j, 0.369 - 0.163j],
-         3, 98, -0.016749999999006192 - 0.006125000005263028j,
+         1, 17, -0.016749999999006192 - 0.006125000005263028j,
          -0.022335989844982918 - 0.008178403072673453j),
         ([0.332 + 0.139j, -2.279 - 0.269j, 0.491 - 0.092j],
          [0.142 + 0.116j, -2.408 - 0.396j, 0.307 - 0.064j],
-         3, 98, 0.016125000004453476 + 0.015875000003539103j,
+         1, 17, 0.016125000004453476 + 0.015875000003539103j,
          0.021522200228658472 + 0.02114496879758568j),
         ([0.347 - 0.108j, -2.056 - 0.01j, -0.255 + 0.023j],
          [0.194 - 0.189j, -2.104 + 0.096j, -0.353 - 0.058j],
-         3, 98, 0.006000000000105219 - 0.013250000000491697j,
+         1, 17, 0.006000000000105219 - 0.013250000000491697j,
          0.008007999162973444 - 0.017655332945314826j),
     ],
     "A5": [
         ([0.8 - 0.149j, 0.89 + 0.009j, 0.718 + 0.201j, 0.533 - 0.074j, 0.664 - 0.093j],
          [0.849 - 0.079j, 0.925 - 0.125j, 0.728 + 0.155j, 0.44 - 0.264j, 0.661 - 0.222j],
-         3, 98, 1.240327285323417e-16 - 3.469446951953614e-17j,
+         1, 17, 1.240327285323417e-16 - 3.469446951953614e-17j,
          -0.001896777735478324 + 0.012334375794580561j),
         ([0.673 + 0.04j, 0.917 - 0.033j, 0.703 + 0.163j, 1.127 + 0.067j, 0.482 + 0.765j],
          [1.572 + 0.36j, 1.815 - 1.4j, -0.521 + 0.868j, 0.923 + 0.707j, 0.117 - 0.016j],
-         5, 482, 1.5265566588595902e-16 + 1.3877787807814457e-16j,
+         10, 287, 1.5265566588595902e-16 + 1.3877787807814457e-16j,
          -0.06691200272478137 + 0.06739139659351044j),
         ([0.144 - 0.274j, 0.825 + 0.213j, 0.414 + 0.347j, 1.103 - 0.647j, -0.014 - 0.149j],
          [0.341 - 0.903j, 0.459 + 1.057j, 1.368 + 0.334j, 0.388 - 0.87j, 0.199 - 1.18j],
-         7, 2018, 2.6194324487249787e-16 - 1.2073675392798577e-15j,
+         14, 407, 2.6194324487249787e-16 - 1.2073675392798577e-15j,
          0.003975806620882957 - 0.07545675136636894j),
     ],
 }
@@ -458,12 +531,24 @@ G_GOLDEN = {
 @pytest.mark.parametrize("name", sorted(G_GOLDEN))
 def test_g_function_reproduces_its_golden_segments(name):
     ev = ChartEvaluator(build_p2_chart(8) if name == "P2@8" else build_an_chart(5))
-    for t0, t1, level, frames, delta_g, d_log_tau in G_GOLDEN[name]:
+    for t0, t1, panels, frames, delta_g, d_log_tau in G_GOLDEN[name]:
         gv = g_function(ev, t0, t1, tol=1e-9)
-        assert (gv.level, gv.frames) == (level, frames)
+        assert (gv.panels, gv.frames) == (panels, frames)
         assert abs(gv.delta_g - delta_g) <= 1e-12
         assert abs(gv.d_log_tau - d_log_tau) <= 1e-12
         assert gv.max_defect < FRAME_TOL
+
+
+def test_g_function_reads_a_round_in_chunks(monkeypatch):
+    # the hardest golden A5 segment reads rounds of up to 60 nodes; stacks
+    # of at most 7 points must give the same G
+    t0, t1, panels, frames, delta_g, _ = G_GOLDEN["A5"][2]
+    ev = ChartEvaluator(build_an_chart(5))
+    whole = g_function(ev, t0, t1, tol=1e-9)
+    monkeypatch.setattr(isomonodromy, "STACK_CHUNK", 7)
+    chunked = g_function(ev, t0, t1, tol=1e-9)
+    assert (chunked.panels, chunked.frames) == (whole.panels, whole.frames) == (panels, frames)
+    assert abs(chunked.delta_g - whole.delta_g) < 1e-14
 
 
 def test_g_function_names_a_frame_breakdown_on_a_non_associative_chart():

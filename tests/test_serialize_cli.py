@@ -163,8 +163,8 @@ def test_cli_gfunction_reports_diagnostics(tmp_path, capsys):
         "--t0", "0.2,0.4,1.1", "--t1", "0.9,0.4,1.1",
     ]) == 0
     gout = json.loads(capsys.readouterr().out)
-    assert gout["level"] >= 1 and "j_level" not in gout
-    assert gout["frames"] > 0
+    assert gout["panels"] >= 1 and "level" not in gout
+    assert gout["frames"] > 0 and 0 <= gout["error"] <= 1e-9 / 4
     assert 0 <= gout["max_defect"] < 1e-10
 
 
