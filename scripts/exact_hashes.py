@@ -12,7 +12,12 @@ P^2, P^3 and P^4 Stokes matrices and of the P^2 Gram form carrying its
 connection matrix (Stokes entries as "p/q" whether stored as int or Fraction,
 connection entries to 25 digits).
 
+scripts/exact_hashes.txt holds the expected lines; the last line printed, the
+run time, is not among them.  A change that alters an exact result must
+update that file on purpose.
+
 Usage: PYTHONPATH=src python scripts/exact_hashes.py
+       PYTHONPATH=src python scripts/exact_hashes.py | grep -v '^# ' | diff scripts/exact_hashes.txt -
 """
 
 import hashlib

@@ -15,7 +15,6 @@ from .deformed import (
     deformed_flat_coordinates,
     pairing_holds,
     potential_from_gradient,
-    potential_from_hessian,
 )
 from .descendents import (
     DescendentTable,

@@ -4,12 +4,18 @@ The deformed flat coordinate functions t~_l(t; z) = sum_p theta_l^(p) z^p obey
 
     d_a d_b theta_l^(p+1) = c_{ab}^g d_g theta_l^(p),    theta_l^(0) = eta_{lg} t^g.
 
-Each step determines theta^(p+1) up to an affine function; normalizing every
+Everything downstream reads only the gradients G_p[l][b] = d_b theta_l^(p), so
+the recursion carries those.  The right-hand side is the Hessian H of
+theta^(p+1); each row H[b] integrates once to G_{p+1}[l][b], and
+d_a G_{p+1}[l][b] = H_ab is checked exactly (a failure signals a WDVV failure
+upstream).  One more integration gives theta^(p+1); normalizing every
 theta^(p) (p >= 1) to have no constant and no linear part makes the series
-unique.  With Theta_p the eta-raised Jacobian of theta^(p) (so Theta_0 = Id)
-and Phi(z) = sum_p Theta_p z^p, the series stores the pairing table
+unique.  With the eta-raised gradients Theta_p = eta^{-1} G_p (so
+Theta_0 = Id) and Phi(z) = sum_p Theta_p z^p, the series stores the pairing
+table
 
-    N(p, q) = Theta_q^T eta Theta_p,   the z^p w^q coefficient of Phi^T(w) eta Phi(z),
+    N(p, q) = Theta_q^T eta Theta_p = Theta_q^T G_p,
+    the z^p w^q coefficient of Phi^T(w) eta Phi(z),
 
 for p + q <= order.  Since N(q, p) = N(p, q)^T each unordered pair is formed
 once.  The pairing identity Phi^T(-z) eta Phi(z) = eta reads, order by order,
@@ -50,26 +56,6 @@ def potential_from_gradient(components: list[Potential]) -> Potential:
     return acc
 
 
-def potential_from_hessian(hess: list[list[Potential]]) -> Potential:
-    """Reconstruct H with d_a d_b H = hess[a][b], normalized to zero affine part.
-
-    Raises AlgebraError if the candidate fails to reproduce the Hessian
-    exactly (non-integrable input)."""
-    n = len(hess)
-    grads = [potential_from_gradient(list(hess[a])) for a in range(n)]
-    h = potential_from_gradient(grads)
-    h = h.drop_degree_at_most(1)
-    for a in range(n):
-        da = h.diff(a)
-        for b in range(a, n):
-            if da.diff(b) != hess[a][b]:
-                raise AlgebraError(
-                    f"Hessian reconstruction failed at ({a + 1},{b + 1}); "
-                    "input is not an integrable symmetric tensor"
-                )
-    return h
-
-
 @dataclass
 class DeformedFlatSeries:
     """Coefficients of the deformed flat coordinate system.
@@ -86,6 +72,8 @@ class DeformedFlatSeries:
 
     def theta(self, p: int, lam: int) -> Potential:
         """theta_lam^(p) with 1-based lam."""
+        _require_order(self, p)
+        _require_label(lam, len(self.thetas[p]))
         return self.thetas[p][lam - 1]
 
 
@@ -94,78 +82,67 @@ def _combine(ring: Potential, coefs, elements) -> Potential:
     return ring.dot((ring.const_like(k), x) for k, x in zip(coefs, elements))
 
 
-def deformed_thetas(chart: FMChart, order: int) -> list[list[Potential]]:
-    """theta^(p) for p = 0..order: the gradient recursion solved up to z^order.
+def deformed_flat_coordinates(chart: FMChart, order: int) -> DeformedFlatSeries:
+    """The series up to z^order, from the gradient recursion.
 
-    An inconsistent recursion (mixed partials of the candidate differing from
-    the prescribed Hessian) signals a WDVV failure upstream and raises."""
+    An inconsistent recursion (a Hessian whose rows do not integrate to a
+    gradient) signals a WDVV failure upstream and raises."""
     if order < 0:
         raise AlgebraError(f"deformed flat series order must be >= 0, got {order}")
     n = chart.n
     c = structure_constants(chart)
     zero = chart.potential.zero_like()
     t = [zero.var_like(g) for g in range(n)]
-    thetas: list[list[Potential]] = [[_combine(zero, chart.eta[lam], t) for lam in range(n)]]
+    # G_0[lam][b] = d_b theta_lam^(0) = eta_{lam b}
+    grads = [[[zero.const_like(e) for e in row] for row in chart.eta]]
+    thetas = [[_combine(zero, row, t) for row in chart.eta]]
     for p in range(order):
-        prev = thetas[-1]
-        new_level = []
-        for lam in range(n):
-            grads = [prev[lam].diff(g) for g in range(n)]
-            # d_a d_b theta^(p+1) = c_{ab}^g d_g theta^(p): symmetric, so
-            # build b >= a and mirror
-            hess = [[zero] * n for _ in range(n)]
+        level_grads, level_thetas = [], []
+        for lam, G in enumerate(grads[-1]):
+            # H_ab = c_{ab}^g G_g is symmetric: build b >= a and mirror
+            H = [[zero] * n for _ in range(n)]
             for a in range(n):
                 for b in range(a, n):
-                    hess[a][b] = hess[b][a] = zero.dot(zip(c[a][b], grads))
-            try:
-                new_level.append(potential_from_hessian(hess))
-            except AlgebraError as exc:
-                raise AlgebraError(
-                    f"deformed-flat recursion inconsistent at order {p + 1}, "
-                    f"component {lam + 1}: {exc}"
-                ) from exc
-        thetas.append(new_level)
-    return thetas
+                    H[a][b] = H[b][a] = zero.dot(zip(c[a][b], G))
+            # drop the q^0 constant that integrating an ExpSeries from t' = 0
+            # leaves, which d theta^(p+1) has not (no-op on a MultiPoly)
+            new = [potential_from_gradient(row).drop_degree_at_most(0) for row in H]
+            for a in range(n):
+                for b, g in enumerate(new):
+                    if g.diff(a) != H[a][b]:
+                        raise AlgebraError(
+                            f"deformed-flat recursion inconsistent at order {p + 1}, "
+                            f"component {lam + 1}: Hessian not integrable at entry "
+                            f"({a + 1},{b + 1})"
+                        )
+            level_grads.append(new)
+            level_thetas.append(potential_from_gradient(new).drop_degree_at_most(1))
+        grads.append(level_grads)
+        thetas.append(level_thetas)
 
-
-def deformed_flat_coordinates(chart: FMChart, order: int) -> DeformedFlatSeries:
-    """The series up to z^order: deformed_thetas, their eta-raised Jacobians
-    and the pairing table."""
-    thetas = deformed_thetas(chart, order)
-    n = chart.n
-    matrices = []
-    for level in thetas:
-        grads = [[theta.diff(b) for b in range(n)] for theta in level]
-        matrices.append(
-            [[_combine(chart.potential, chart.eta_inv[a], g) for g in grads] for a in range(n)]
-        )
-
-    # N(q, p) = N(p, q)^T; the diagonal p = q keeps its block as formed
+    matrices = [
+        [[_combine(zero, row, G) for G in level] for row in chart.eta_inv] for level in grads
+    ]
+    # N(p, q) = Theta_q^T G_p and N(q, p) = N(p, q)^T; the diagonal p = q
+    # keeps its block as formed
     pairings = {}
     for p in range(order // 2 + 1):
         for q in range(p, order + 1 - p):
-            block = eta_pairing(chart, matrices[q], matrices[p])
+            block = [[zero.dot(zip(col, G)) for G in grads[p]] for col in zip(*matrices[q])]
             pairings[(q, p)] = [list(col) for col in zip(*block)]
             pairings[(p, q)] = block
     return DeformedFlatSeries(order, thetas, matrices, pairings)
 
 
-def eta_pairing(
-    chart: FMChart, A: list[list[Potential]], B: list[list[Potential]]
-) -> list[list[Potential]]:
-    """The matrix A^T eta B: entry (al, be) is one fused sum over the nonzero
-    eta_{ij} of A[i][al] eta_{ij} B[j][be]."""
-    n = chart.n
-    eta = [(i, j, chart.eta[i][j]) for i in range(n) for j in range(n) if chart.eta[i][j]]
-    return [
-        [chart.potential.dot((A[i][al].scale(e), B[j][be]) for i, j, e in eta) for be in range(n)]
-        for al in range(n)
-    ]
-
-
 def _require_order(series: DeformedFlatSeries, p: int) -> None:
     if not 0 <= p <= series.order:
-        raise AlgebraError(f"pairing order {p} outside 0..{series.order} of the series")
+        raise AlgebraError(f"order {p} outside 0..{series.order} of the series")
+
+
+def _require_label(label: int, n: int) -> None:
+    """A 1-based component label must lie in 1..n."""
+    if not 1 <= label <= n:
+        raise AlgebraError(f"component label {label} outside 1..{n}")
 
 
 def pairing_defect(chart: FMChart, series: DeformedFlatSeries, p: int) -> list[list[Potential]]:

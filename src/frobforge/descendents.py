@@ -16,10 +16,11 @@ synthetic division on that table, one total degree at a time:
 
 and the remainder checks N(0, 0) = eta and N(0, m) = Omega_{0,m-1} hold
 exactly iff the division leaves nothing over.  The first-Hamiltonian-structure
-flows are evolutionary systems d_T t = A(t) t_X whose matrices come from the
-Hamiltonian densities theta^(p+1)_a:
+flows are evolutionary systems d_T t = A(t) t_X whose matrices are the
+derivatives of the Hamiltonian densities' raised gradients, column a of
+Theta_{p+1}:
 
-    A^g_e = eta^{gb} d_b d_e theta^(p+1)_a,
+    A^g_e = eta^{gb} d_b d_e theta^(p+1)_a = d_e (Theta_{p+1})^g_a,
 
 so (a,p) = (1,0) is the X-translation flow (density theta^(1)_1 = d_1 F with
 Hessian eta) and (a,0) is multiplication by e_a.
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import FMChart, Potential
-from .deformed import DeformedFlatSeries, deformed_flat_coordinates, deformed_thetas
+from .deformed import DeformedFlatSeries, _require_label, deformed_flat_coordinates
 from .errors import AlgebraError, NumericError
 from .frames import _as_evaluator, canonical_coordinates
 from .isomonodromy import GValue, g_function
@@ -49,6 +50,9 @@ class DescendentTable:
     def omega(self, alpha: int, p: int, beta: int, q: int) -> Potential:
         if p < 0 or q < 0 or p + q > self.order:
             raise AlgebraError(f"order ({p},{q}) outside the table")
+        n = len(self.blocks[(0, 0)])
+        _require_label(alpha, n)
+        _require_label(beta, n)
         return self.blocks[(p, q)][alpha - 1][beta - 1]
 
 
@@ -116,24 +120,18 @@ class HierarchyFlow:
 def hierarchy_flow(
     chart: FMChart, alpha: int, p: int, series: DeformedFlatSeries | None = None
 ) -> HierarchyFlow:
-    """A^g_e = eta^{gb} d_b d_e theta^(p+1)_alpha (1-based alpha)."""
+    """A^g_e = d_e (Theta_{p+1})^g_alpha, read off column alpha (1-based) of
+    the series' Theta_{p+1}; built to order p + 1 when no series is given."""
     if not 1 <= alpha <= chart.n:
         raise AlgebraError("alpha out of range")
     if p < 0:
         raise AlgebraError("p must be >= 0")
-    if series is not None and series.order < p + 1:
+    if series is None:
+        series = deformed_flat_coordinates(chart, p + 1)
+    elif series.order < p + 1:
         raise AlgebraError("deformed flat series order too low for this flow")
-    thetas = deformed_thetas(chart, p + 1) if series is None else series.thetas
-    density = thetas[p + 1][alpha - 1]
-    n = chart.n
-    eta_inv = chart.eta_inv
-    grads = [density.diff(b) for b in range(n)]
-    P = chart.potential
-    hessian = [[grad.diff(e) for e in range(n)] for grad in grads]
-    rows = [
-        [P.dot((P.const_like(eta_inv[g][b]), hessian[b][e]) for b in range(n)) for e in range(n)]
-        for g in range(n)
-    ]
+    column = [row[alpha - 1] for row in series.matrices[p + 1]]
+    rows = [[entry.diff(e) for e in range(chart.n)] for entry in column]
     return HierarchyFlow(alpha, p, rows)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,6 @@ from frobforge.deformed import (
     deformed_flat_coordinates,
     pairing_defect,
     pairing_holds,
-    potential_from_hessian,
 )
 from frobforge.errors import AlgebraError, ValidationError
 from frobforge.linalg import frac_matrix
@@ -252,11 +252,23 @@ def test_deformed_series_and_pairing_order_bounds():
             pairing_defect(chart, series, p)
         with pytest.raises(AlgebraError, match="outside 0..2"):
             pairing_holds(chart, series, p)
+        with pytest.raises(AlgebraError, match="outside 0..2"):
+            series.theta(p, 1)
+    for lam in (-1, 0, 3):
+        with pytest.raises(AlgebraError, match="outside 1..2"):
+            series.theta(1, lam)
+    assert series.theta(2, 2) == series.thetas[2][1]
 
 
-def test_hessian_reconstruction_rejects_nonintegrable():
-    x = MultiPoly.variable(2, 0)
-    y = MultiPoly.variable(2, 1)
-    # hess[0][1] != hess[1][0] cannot come from a potential
-    with pytest.raises(AlgebraError):
-        potential_from_hessian([[x, y], [x * y, y]])
+def test_deformed_recursion_rejects_a_non_wdvv_chart():
+    chart = build_an_chart(3)
+    bad = dataclasses.replace(
+        chart, potential=chart.potential + MultiPoly.monomial(3, (0, 2, 2), Fraction(1, 7))
+    )
+    assert check_wdvv(chart).passed
+    assert not check_wdvv(bad).passed
+    deformed_flat_coordinates(chart, 4)
+    with pytest.raises(
+        AlgebraError, match="deformed-flat recursion inconsistent at order 2, component 2"
+    ):
+        deformed_flat_coordinates(bad, 4)

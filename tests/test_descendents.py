@@ -4,12 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from frobforge.charts import FMChart, structure_constants
-from frobforge.deformed import (
-    deformed_flat_coordinates,
-    eta_pairing,
-    pairing_holds,
-)
+from frobforge.charts import FMChart, mu_matrix, structure_constants
+from frobforge.deformed import deformed_flat_coordinates, pairing_holds
 from frobforge.descendents import (
     flow_commutator_jets,
     genus1_restricted,
@@ -20,7 +16,7 @@ from frobforge.errors import AlgebraError
 from frobforge.frames import ChartEvaluator
 from frobforge.linalg import frac_matrix
 from frobforge.poly import MultiPoly
-from frobforge.projective import build_p2_chart
+from frobforge.projective import build_p2_chart, pd_classical_data
 from frobforge.unfolding import build_an_chart
 
 
@@ -116,11 +112,26 @@ def test_table_order_bounds():
     table = omega_table(chart, 2)
     with pytest.raises(AlgebraError):
         table.omega(1, 2, 1, 1)
+    for alpha, beta in ((0, 1), (1, 0), (-1, 1), (1, 3), (3, 2)):
+        with pytest.raises(AlgebraError, match="outside 1..2"):
+            table.omega(alpha, 0, beta, 0)
+    assert table.omega(2, 0, 1, 1) == table.blocks[(0, 1)][1][0]
 
 
 def test_table_rejects_a_negative_order():
     with pytest.raises(AlgebraError, match="order must be >= 0"):
         omega_table(split_cubic(), -1)
+
+
+def eta_pairing(chart, A, B):
+    """The matrix A^T eta B: entry (al, be) is one fused sum over the nonzero
+    eta_{ij} of A[i][al] eta_{ij} B[j][be], with no gradient of the series."""
+    n = chart.n
+    eta = [(i, j, chart.eta[i][j]) for i in range(n) for j in range(n) if chart.eta[i][j]]
+    return [
+        [chart.potential.dot((A[i][al].scale(e), B[j][be]) for i, j, e in eta) for be in range(n)]
+        for al in range(n)
+    ]
 
 
 def pairing_oracle(chart, matrices, order):
@@ -169,6 +180,73 @@ def test_tampered_series_fails_the_pairing_checks():
     omega_table(chart, 3, series)
     with pytest.raises(AlgebraError, match=r"order 2, entry \(2,3\)"):
         omega_table(chart, 3, broken)
+
+
+def matmul(zero, A, B):
+    return [[zero.dot(zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def commutator(zero, A, B):
+    return [[x - y for x, y in zip(r, s)] for r, s in zip(matmul(zero, A, B), matmul(zero, B, A))]
+
+
+def lift(zero, M):
+    return [[zero.const_like(x) for x in row] for row in M]
+
+
+def euler_multiplication(chart):
+    """U^a_b = E^e c_{eb}^a, the operator of multiplication by the Euler field."""
+    E = chart.euler_components()
+    c = structure_constants(chart)
+    zero = chart.potential.zero_like()
+    n = chart.n
+    return [[zero.dot((E[e], c[e][b][a]) for e in range(n)) for b in range(n)] for a in range(n)]
+
+
+def levelt_residuals(chart, matrices, U):
+    """R and the residuals of p Theta_p = U Theta_{p-1} + [mu, Theta_p] - Theta_{p-1} R.
+
+    R is read off at p = 1, where Theta_0 = Id gives R = U + [mu, Theta_1] -
+    Theta_1; ``residuals[p]`` is the right side minus the left for p >= 2."""
+    zero = chart.potential.zero_like()
+    mu = lift(zero, mu_matrix(chart))
+    theta1 = matrices[1]
+    R = [[u + b - t for u, b, t in zip(*rows)] for rows in zip(U, commutator(zero, mu, theta1), theta1)]
+    residuals = {}
+    for p in range(2, len(matrices)):
+        prev, cur = matrices[p - 1], matrices[p]
+        terms = zip(matmul(zero, U, prev), commutator(zero, mu, cur), matmul(zero, prev, R), cur)
+        residuals[p] = [
+            [u + b - r - t.scale(p) for u, b, r, t in zip(*rows)] for rows in terms
+        ]
+    return R, residuals
+
+
+@pytest.mark.parametrize("build, want_r", [
+    (lambda: build_an_chart(3), None),
+    (lambda: build_an_chart(4), None),
+    (lambda: build_p2_chart(5), pd_classical_data(2).r),
+], ids=["A3", "A4", "P2@5"])
+def test_levelt_identity_ties_theta_to_u_mu_and_r(build, want_r):
+    chart = build()
+    n = chart.n
+    zero = chart.potential.zero_like()
+    series = deformed_flat_coordinates(chart, 6)
+    U = euler_multiplication(chart)
+    R, residuals = levelt_residuals(chart, series.matrices, U)
+    assert R == lift(zero, want_r or [[0] * n for _ in range(n)])
+    assert commutator(zero, lift(zero, mu_matrix(chart)), R) == R
+    assert sorted(residuals) == [2, 3, 4, 5, 6]
+    assert all(x.is_zero() for block in residuals.values() for row in block for x in row)
+
+    # controls: t^1 added to one entry of Theta_2, and U transposed
+    matrices = [[row[:] for row in M] for M in series.matrices]
+    matrices[2][0][1] = matrices[2][0][1] + zero.var_like(0)
+    _, tampered = levelt_residuals(chart, matrices, U)
+    assert any(not x.is_zero() for row in tampered[2] for x in row)
+    R_t, transposed = levelt_residuals(chart, series.matrices, [list(col) for col in zip(*U)])
+    assert not all(x.diff(g).is_zero() for row in R_t for x in row for g in range(n))
+    assert any(not x.is_zero() for block in transposed.values() for row in block for x in row)
 
 
 def test_translation_flow_is_identity():
