@@ -36,7 +36,6 @@ from .frames import (
     CanonicalFrame,
     ChartEvaluator,
     FrameStack,
-    ViSet,
     canonical_coordinates,
     canonical_frame,
     canonical_frames,
@@ -53,12 +52,10 @@ from .isomonodromy import (
 )
 from .laurent import LaurentTail
 from .monodromy import (
-    BraidMove,
     BraidOrbit,
     MonodromyData,
     PdConnectionData,
     braid_act,
-    braid_move,
     braid_orbit,
     braid_word,
     check_compatibility,

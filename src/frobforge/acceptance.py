@@ -191,7 +191,7 @@ def criterion_6(seed: int = 0) -> CriterionResult:
     for fr in frames:
         worst_psi = max(worst_psi, float(np.max(np.abs(fr.psi.T @ fr.psi - eta))))
         spec_v = sorted(np.linalg.eigvals(fr.v), key=lambda z: (z.real, z.imag))
-        spec_mu = sorted((float(m) for m in fr.mu_diag))
+        spec_mu = sorted((float(m) for m in ev.mu_diag))
         worst_spec = max(
             worst_spec, max(abs(a - b) for a, b in zip(spec_v, spec_mu))
         )

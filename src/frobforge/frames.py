@@ -14,7 +14,6 @@ with mu the constant grading matrix of the chart.  All of this is numerical
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -164,7 +163,6 @@ class CanonicalFrame:
 
     u: np.ndarray              # canonical coordinates, in frame order
     psi: np.ndarray            # rows i: psi_{ia}
-    mu_diag: tuple[Fraction, ...]
     v: np.ndarray              # Psi mu Psi^{-1}
     idempotents: np.ndarray    # rows i: pi_i in the flat frame, i.e. dt^a/du_i
     norms: np.ndarray          # <pi_i, pi_i>
@@ -193,8 +191,8 @@ class FrameStack:
     CanonicalFrame of point k.  A plain class, since a dataclass costs about a
     millisecond at import."""
 
-    def __init__(self, u, psi, mu_diag, v, idempotents, norms, ordering, defect):
-        self.u, self.psi, self.mu_diag, self.v = u, psi, mu_diag, v
+    def __init__(self, u, psi, v, idempotents, norms, ordering, defect):
+        self.u, self.psi, self.v = u, psi, v
         self.idempotents, self.norms = idempotents, norms
         self.ordering, self.defect = ordering, defect
 
@@ -208,7 +206,6 @@ class FrameStack:
         return CanonicalFrame(
             u=self.u[k],
             psi=self.psi[k],
-            mu_diag=self.mu_diag,
             v=self.v[k],
             idempotents=self.idempotents[k],
             norms=self.norms[k],
@@ -316,7 +313,6 @@ def canonical_frames(chart, T) -> FrameStack:
     return FrameStack(
         u=u,
         psi=psi,
-        mu_diag=ev.mu_diag,
         v=v,
         idempotents=idem,
         norms=norms,
@@ -331,18 +327,6 @@ def canonical_frame(chart, t) -> CanonicalFrame:
     return canonical_frames(chart, _as_point(t)[None])[0]
 
 
-@dataclass
-class ViSet:
-    """The skew matrices V_i solving [U, V_i] = [E_i, V], with the E_i."""
-
-    u: np.ndarray
-    vs: list[np.ndarray]
-    e_units: list[np.ndarray]
-
-    def total(self) -> np.ndarray:
-        return sum(self.vs)
-
-
 def _over_gaps(u: np.ndarray, V: np.ndarray) -> np.ndarray:
     """R_{jk} = V_{jk} / (u_j - u_k) off the diagonal, R_{jj} = 0, over
     stacks u (..., n) and V (..., n, n) alike."""
@@ -352,20 +336,22 @@ def _over_gaps(u: np.ndarray, V: np.ndarray) -> np.ndarray:
     return V / gaps
 
 
-def vi_matrices(u, V) -> ViSet:
-    """(V_i)_{jk} = (delta_{ij} V_{ik} - delta_{ik} V_{ji}) / (u_j - u_k)."""
+def vi_matrices(u, V) -> np.ndarray:
+    """The skew matrices V_i solving [U, V_i] = [E_i, V], stacked as an
+    (n, n, n) array: (V_i)_{jk} = (delta_{ij} V_{ik} - delta_{ik} V_{ji}) /
+    (u_j - u_k).  u closer than DEFAULT_MARGIN * max|u| raises
+    SemisimplicityError.  The definition the closed-form flow of
+    ``isomonodromy`` is tested against."""
     u = np.asarray(u, dtype=complex)
     V = np.asarray(V, dtype=complex)
-    n = len(u)
-    i, j = _pairs(n)
-    if np.any(u[i] == u[j]):
-        raise SemisimplicityError("coincident canonical coordinates")
+    _require_separated(u, DEFAULT_MARGIN)
     R = _over_gaps(u, V)
+    n = len(u)
     k = np.arange(n)
     vs = np.zeros((n, n, n), dtype=complex)
     vs[k, k, :] = R
     vs[k, :, k] = -R.T
-    return ViSet(u, list(vs), [np.diag(e) for e in np.eye(n)])
+    return vs
 
 
 def _assignment(cost: np.ndarray) -> tuple[int, ...]:

@@ -6,10 +6,14 @@ u-space the log tau increment is the quadrature of the closed 1-form
 
     d log tau = sum_i H_i du_i,     H_i = 1/2 sum_{j != i} V_ij^2 / (u_i - u_j).
 
-Free integration uses an embedded Dormand-Prince 5(4) pair with adaptive
-steps on the strict upper triangle of V (skewness is exact by
-representation).  Chart-driven evaluation recomputes V from frames instead of
-evolving it, which is what the G-function
+Both are evaluated in one closed form: with R_jk = V_jk / (u_j - u_k),
+sum_i du_i V_i = R o (du_j - du_k) and H_i = 1/2 sum_j V_ij R_ij, so no V_i
+is built (``frames.vi_matrices`` builds them for the tests that check this
+form).  ``flow_rhs`` and every step of ``integrate`` first require the u_i
+to be DEFAULT_MARGIN * max|u| apart.  Free integration uses an embedded
+Dormand-Prince 5(4) pair with adaptive steps on the strict upper triangle of
+V (skewness is exact by representation).  Chart-driven evaluation
+recomputes V from frames instead of evolving it, which is what the G-function
 
     G = log tau - (1/24) log J,   J = det(dt^a/du_i)
 
@@ -26,6 +30,7 @@ how the u_i are labelled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -39,7 +44,7 @@ from .frames import (
     canonical_frame,  # unused here; perfbench's tracer wraps it under this module's name
     canonical_frames,
     match_ordering,  # unused here; perfbench's tracer wraps it under this module's name
-    vi_matrices,
+    vi_matrices,  # unused here; perfbench's tracer wraps it under this module's name
 )
 
 
@@ -86,21 +91,27 @@ def hamiltonians(u: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 def flow_rhs(i: int, state: IsomonodromyState) -> np.ndarray:
-    """del_i V = [V_i, V] for the 1-based direction i."""
-    if not 1 <= i <= state.n:
-        raise NumericError("direction index out of range")
-    V = state.v_matrix
-    Vi = vi_matrices(np.array(state.u), V).vs[i - 1]
-    return Vi @ V - V @ Vi
+    """del_i V = [V_i, V] for the 1-based direction i: the closed-form flow at
+    du = e_i.  u closer than DEFAULT_MARGIN * max|u| raises
+    SemisimplicityError."""
+    n = state.n
+    if not (isinstance(i, Integral) and 1 <= i <= n):
+        raise ValidationError(f"direction index must be an integer in 1..{n}, got {i!r}")
+    u = np.array(state.u)
+    _require_separated(u, DEFAULT_MARGIN)
+    return _directional_flow(u, state.v_matrix, np.eye(n)[i - 1])[0]
 
 
 def _directional_flow(u: np.ndarray, V: np.ndarray, du: np.ndarray) -> tuple[np.ndarray, complex]:
     """sum_i du_i [V_i, V] and sum_i du_i H_i at (u, V), in closed form.
 
-    sum_i du_i V_i = W with W_jk = V_jk (du_j - du_k) / (u_j - u_k) and
-    W_jj = 0, so the first is [W, V]; the second is 1/4 sum_jk V_jk W_jk."""
-    W = _over_gaps(u, V) * (du[:, None] - du)
-    return W @ V - V @ W, 0.25 * (V * W).sum()
+    With R_jk = V_jk / (u_j - u_k) and R_jj = 0, sum_i du_i V_i is
+    W = R o (du_j - du_k), and since W and V are skew, [W, V] = X - X^T with
+    X = W V, exactly skew in IEEE arithmetic.  H_i = 1/2 sum_j V_ij R_ij as
+    in ``hamiltonians``."""
+    R = _over_gaps(u, V)
+    X = (R * (du[:, None] - du)) @ V
+    return X - X.T, (V * R).sum(axis=-1) @ du / 2
 
 
 # Dormand-Prince 5(4) tableau
@@ -158,20 +169,21 @@ class IsomonodromyTrajectory:
 def integrate(state0: IsomonodromyState, path, tol: float = 1e-10) -> IsomonodromyTrajectory:
     """Integrate dV = sum_i [V_i, V] du_i along a piecewise-linear u-path.
 
-    ``path`` is a sequence of u-waypoints starting the continuation from
-    state0.u; log tau accumulates through the same error-controlled steps,
-    whose local error is held below ``tol`` (finite, > 0).  The state and
-    every waypoint must be finite with n components, which is checked before
-    any step.  A step that would bring two u_i within DEFAULT_MARGIN * max|u|
-    raises SemisimplicityError, and more than MAX_STEPS steps raise
-    NumericError."""
+    ``path`` is a sequence of u-waypoints continuing from state0.u; a first
+    waypoint exactly equal to state0.u is skipped, and any other is the end
+    of a first leg, however short.  log tau accumulates through the same
+    error-controlled steps, whose local error is held below ``tol`` (finite,
+    > 0).  The state and every waypoint must be finite with n components,
+    which is checked before any step.  A step that would bring two u_i within
+    DEFAULT_MARGIN * max|u| raises SemisimplicityError, and more than
+    MAX_STEPS steps raise NumericError."""
     require_positive(tol, "tol")
     n = state0.n
     n_upper = n * (n - 1) // 2
     u0 = _finite_point(state0.u, n, "u")
     v0 = _finite_point(state0.v_upper, n_upper, f"the upper triangle of V for n = {n}")
     waypoints = [_finite_point(w, n, "every waypoint") for w in path]
-    if not waypoints or not np.allclose(waypoints[0], u0):
+    if not waypoints or (waypoints[0] != u0).any():
         waypoints = [u0] + waypoints
 
     traj = IsomonodromyTrajectory()

@@ -160,14 +160,6 @@ def _braid_pair(S, C):
     return S, C
 
 
-@dataclass
-class BraidMove:
-    """Generator index i (1-based) and its mutation matrix K = K^(i)(S)."""
-
-    index: int
-    k: Matrix
-
-
 def _braid_update(S: Matrix, C: mp.matrix | None, i0: int, inverse: bool) -> None:
     """S -> K S K and C -> C K in place, touching only rows and columns i0 and
     i0 + 1 of S and those two columns of C."""
@@ -179,20 +171,6 @@ def _braid_update(S: Matrix, C: mp.matrix | None, i0: int, inverse: bool) -> Non
     if C is not None:
         for r in range(C.rows):
             C[r, a], C[r, b] = mp.fdot([(C[r, b], 1), (C[r, a], -s)]), C[r, a]
-
-
-def braid_move(S, i: int, inverse: bool = False) -> BraidMove:
-    """The mutation matrix K^(i)(S) for the generator sigma_i (1-based)."""
-    S, _ = _braid_pair(S, None)
-    n = len(S)
-    if not 1 <= i <= n - 1:
-        raise ValidationError(f"generator index {i} out of range 1..{n - 1}")
-    i0 = i - 1
-    s = S[i0][i0 + 1]
-    K = [[int(a == b) for b in range(n)] for a in range(n)]
-    K[i0][i0 + 1] = K[i0 + 1][i0] = 1
-    K[i0][i0], K[i0 + 1][i0 + 1] = (0, -s) if inverse else (-s, 0)
-    return BraidMove(i, K)
 
 
 def braid_act(S, C=None, i: int = 1, inverse: bool = False):

@@ -95,7 +95,7 @@ def test_frame_identities_on_a3():
         assert np.max(np.abs(fr.psi.T @ fr.psi - eta)) < 1e-10
         assert np.array_equal(fr.v, -fr.v.T)
         spec_v = sorted(np.linalg.eigvals(fr.v), key=lambda z: z.real)
-        spec_mu = sorted(float(m) for m in fr.mu_diag)
+        spec_mu = sorted(float(m) for m in ev.mu_diag)
         assert max(abs(a - b) for a, b in zip(spec_v, spec_mu)) < 1e-8
         # branch-free determinant identity: det(eta) J^2 = prod <pi_i, pi_i>
         det_eta = np.linalg.det(eta)
@@ -166,13 +166,14 @@ def test_vi_two_by_two():
     v = 0.3 - 0.2j
     V = np.array([[0, v], [-v, 0]])
     vis = vi_matrices(u, V)
-    assert abs(vis.vs[0][0, 1] - v / (u[0] - u[1])) < 1e-14
-    assert np.max(np.abs(vis.vs[0] + vis.vs[1])) < 1e-14
+    assert vis.shape == (2, 2, 2)
+    assert abs(vis[0][0, 1] - v / (u[0] - u[1])) < 1e-14
+    assert np.max(np.abs(vis[0] + vis[1])) < 1e-14
 
 
 def test_vi_zero_v():
     vis = vi_matrices([0.0, 1.0, 2.0], np.zeros((3, 3)))
-    for Vi in vis.vs:
+    for Vi in vis:
         assert np.max(np.abs(Vi)) == 0
 
 
@@ -183,17 +184,21 @@ def test_vi_defining_equations():
     V = (A - A.T) / 2
     vis = vi_matrices(u, V)
     U = np.diag(u)
-    for i, Vi in enumerate(vis.vs):
+    for i, Vi in enumerate(vis):
+        E = np.diag(np.eye(4)[i])
         lhs = U @ Vi - Vi @ U
-        rhs = vis.e_units[i] @ V - V @ vis.e_units[i]
+        rhs = E @ V - V @ E
         assert np.max(np.abs(lhs - rhs)) < 1e-12
         assert np.max(np.abs(Vi + Vi.T)) < 1e-12
-    assert np.max(np.abs(vis.total())) < 1e-12
+    assert np.max(np.abs(vis.sum(axis=0))) < 1e-12
 
 
 def test_vi_rejects_coincident_u():
     with pytest.raises(SemisimplicityError):
         vi_matrices([1.0, 1.0], np.zeros((2, 2)))
+    # closer than DEFAULT_MARGIN * max|u| though not equal: entries would be ~1e13
+    with pytest.raises(SemisimplicityError, match="u_2 - u_3"):
+        vi_matrices([0.0, 1.0, 1.0 + 1e-13], np.ones((3, 3)) - np.eye(3))
 
 
 def test_match_ordering():
@@ -330,7 +335,6 @@ def test_canonical_frames_match_the_frame_of_each_point(chart, centre):
         for field in ("u", "psi", "v", "idempotents", "norms"):
             assert np.max(np.abs(getattr(fr, field) - getattr(one, field))) <= 1e-13
         assert fr.ordering == one.ordering
-        assert fr.mu_diag == one.mu_diag
         assert abs(fr.defect - one.defect) <= 1e-13
     for bad in (T[0], T[:, :-1]):
         with pytest.raises(ValidationError, match="stack"):

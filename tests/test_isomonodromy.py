@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from fractions import Fraction
 from math import factorial
 
@@ -7,7 +8,7 @@ import pytest
 
 from frobforge import isomonodromy
 from frobforge.errors import NumericError, SemisimplicityError, ValidationError
-from frobforge.frames import FRAME_TOL, ChartEvaluator
+from frobforge.frames import FRAME_TOL, ChartEvaluator, canonical_frames, match_ordering, vi_matrices
 from frobforge.isomonodromy import (
     IsomonodromyState,
     _directional_flow,
@@ -114,17 +115,38 @@ def test_flow_matches_linear_poisson_bracket():
 
 
 def test_directional_flow_matches_the_sum_of_directional_flows():
-    # the closed form sum_i du_i V_i = W against the per-direction V_i route
+    # the closed form against sum_i du_i [V_i, V] with the V_i of vi_matrices
     rng = np.random.default_rng(17)
     for n in (2, 3, 5):
         for seed in range(4):
             u = rng.normal(size=n) + 1j * rng.normal(size=n)
             du = rng.normal(size=n) + 1j * rng.normal(size=n)
             st = IsomonodromyState.from_matrix(u, random_skew(n, 100 * n + seed))
-            dV, dtau = _directional_flow(np.array(st.u), st.v_matrix, du)
-            ref = sum(du[i] * flow_rhs(i + 1, st) for i in range(n))
+            V = st.v_matrix
+            dV, dtau = _directional_flow(np.array(st.u), V, du)
+            ref = sum(d * (Vi @ V - V @ Vi) for d, Vi in zip(du, vi_matrices(st.u, V)))
             assert np.max(np.abs(dV - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
-            assert abs(dtau - np.dot(hamiltonians(np.array(st.u), st.v_matrix), du)) < 1e-12
+            assert abs(dtau - np.dot(hamiltonians(np.array(st.u), V), du)) < 1e-12
+
+
+def test_directional_flow_is_exactly_skew():
+    rng = np.random.default_rng(38)
+    for k in range(250):
+        n = 3 + k % 5
+        u = rng.normal(size=n) + 1j * rng.normal(size=n)
+        du = rng.normal(size=n) + 1j * rng.normal(size=n)
+        dV, _ = _directional_flow(u, random_skew(n, 1000 + k), du)
+        assert np.array_equal(dV, -dV.T)
+
+
+def test_flow_rhs_rejects_a_bad_direction_and_close_coordinates():
+    st = IsomonodromyState.from_matrix([0.0, 1.0, 2.0], random_skew(3, 2))
+    for i in (0, 4, 1.5):
+        with pytest.raises(ValidationError, match="an integer in 1..3"):
+            flow_rhs(i, st)
+    close = IsomonodromyState.from_matrix([0.0, 1.0, 1.0 + 1e-13], random_skew(3, 2))
+    with pytest.raises(SemisimplicityError, match="u_2 - u_3"):
+        flow_rhs(1, close)
 
 
 def test_integrate_constant_v_closed_form():
@@ -181,6 +203,19 @@ def test_integrate_rejects_caustic_paths():
     st = IsomonodromyState.from_matrix([0.0, 1.0], [[0, 0.3], [-0.3, 0]])
     with pytest.raises(SemisimplicityError):
         integrate(st, [[1.0, 1.0]], tol=1e-9)
+
+
+def test_integrate_takes_a_short_first_leg():
+    # a first waypoint close to, but not equal to, u0 is a leg of its own
+    u0 = np.array([0.0, 1.0, 2 + 1j])
+    w = u0 + np.array([0.0, 0.0, 2e-5])
+    st = IsomonodromyState.from_matrix(u0, random_skew(3, 4))
+    alone, after_u0 = integrate(st, [w], tol=1e-12), integrate(st, [u0, w], tol=1e-12)
+    assert alone.steps > 0
+    assert np.array_equal(alone.final_state.u, w)
+    assert abs(alone.log_tau) > 1e-8
+    assert alone.log_tau == after_u0.log_tau
+    assert alone.final_state == after_u0.final_state
 
 
 # (tol, G end point, integrate waypoint, message): a bad tolerance, then
@@ -307,6 +342,49 @@ def test_chart_frames_solve_the_free_flow():
     assert best < 1e-9
     gv = g_function(ev, t0, t1, tol=1e-12)
     assert abs(traj.log_tau - gv.d_log_tau) < 1e-10
+
+
+def _miss_modulo_signs(V, V1):
+    """min over sign diagonals D of max |V - D V1 D|."""
+    n = len(V)
+    return min(
+        np.max(np.abs(V - np.diag(d) @ V1 @ np.diag(d)))
+        for d in ((1, *rest) for rest in itertools.product((1, -1), repeat=n - 1))
+    )
+
+
+@pytest.mark.parametrize("chart, centre", [
+    (build_an_chart(4), [0.8] * 4), (build_an_chart(6), [0.8] * 6), (build_p2_chart(12), [0.3, -2.0, 0.5]),
+], ids=["A4", "A6", "P2@12"])
+def test_integrate_follows_the_chart(chart, centre):
+    # free integration from the frame at t0 through the u's of frames along
+    # the t-segment, labels continued by nearest neighbour, must land on the
+    # frame at t1 (modulo the sign gauge) with the tau increment of G's
+    # quadrature; a 1e-3 change of V0 must miss both
+    ev = ChartEvaluator(chart)
+    rng = np.random.default_rng(18)
+    for _ in range(4):
+        t0 = np.asarray(centre) + 0.3 * rng.normal(size=ev.n) + 0.2j * rng.normal(size=ev.n)
+        t1 = t0 + 0.1 * (rng.normal(size=ev.n) + 1j * rng.normal(size=ev.n))
+        frames = canonical_frames(ev, t0 + np.linspace(0, 1, 17)[:, None] * (t1 - t0))
+        path, p = [frames.u[0]], list(range(ev.n))
+        for u in frames.u[1:]:
+            p = list(match_ordering(path[-1], u))
+            path.append(u[p])
+        v1 = frames.v[-1][np.ix_(p, p)]
+        d_log_tau = g_function(ev, t0, t1, tol=1e-12).d_log_tau
+        v0 = frames.v[0]
+        bent = v0.copy()
+        bent[0, 1] += 1e-3
+        bent[1, 0] -= 1e-3
+        for start, hits in ((v0, True), (bent, False)):
+            traj = integrate(IsomonodromyState.from_matrix(path[0], start), path[1:], tol=1e-12)
+            v_miss = _miss_modulo_signs(traj.final_state.v_matrix, v1)
+            tau_miss = abs(traj.log_tau - d_log_tau)
+            if hits:
+                assert v_miss < 1e-10 and tau_miss < 1e-10
+            else:
+                assert v_miss > 1e-7 and tau_miss > 1e-7
 
 
 def test_g_function_scaling_constant_on_quantum_chart():

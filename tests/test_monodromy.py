@@ -11,7 +11,6 @@ from frobforge.linalg import mat_mul
 from frobforge.monodromy import (
     MonodromyData,
     braid_act,
-    braid_move,
     braid_orbit,
     braid_word,
     char_poly,
@@ -62,7 +61,8 @@ def test_braid_inverse_property():
 @given(st.data(), st.integers(2, 7), st.sampled_from(["int", "integral Fraction", "Fraction"]),
        st.booleans())
 def test_braid_act_matches_k_s_k(data, n, kind, inverse):
-    # the O(n) update against the product K S K with K from braid_move
+    # the O(n) update against the product K S K, K the identity but for the
+    # block [[-s, 1], [1, 0]] (inverse: [[0, 1], [1, -s]]) at rows i, i + 1
     if kind == "Fraction":
         entries = st.builds(Fraction, st.integers(-20, 20), st.integers(2, 6))
     else:
@@ -72,7 +72,10 @@ def test_braid_act_matches_k_s_k(data, n, kind, inverse):
           for j in range(n)] for i in range(n)]
     before = [row[:] for row in S]
     i = data.draw(st.integers(1, n - 1))
-    K = braid_move(S, i, inverse).k
+    s = S[i - 1][i]
+    K = [[int(a == b) for b in range(n)] for a in range(n)]
+    K[i - 1][i] = K[i][i - 1] = 1
+    K[i - 1][i - 1], K[i][i] = (0, -s) if inverse else (-s, 0)
     S2, _ = braid_act(S, None, i, inverse)
     assert S2 == mat_mul(mat_mul(K, S), K)
     assert S == before  # the input is not touched
