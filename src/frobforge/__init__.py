@@ -60,7 +60,6 @@ from .monodromy import (
     braid_word,
     check_compatibility,
     pd_connection,
-    pd_monodromy,
 )
 from .poly import MultiPoly, Rational
 from .projective import (

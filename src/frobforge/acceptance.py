@@ -27,7 +27,7 @@ from .monodromy import (
     braid_act,
     braid_word,
     check_compatibility,
-    pd_monodromy,
+    pd_connection,
     sign_canonical,
     stokes_monodromy_invariant,
 )
@@ -140,11 +140,6 @@ def criterion_4(seed: int = 0) -> CriterionResult:
                 for r in range(n):
                     if S2[r][r] != 1 or any(S2[r][c] != 0 for c in range(r)):
                         failures.append(f"trial {trial}: triangularity broken")
-                det = Fraction(1)
-                for r in range(n):
-                    det *= S2[r][r]
-                if det != 1:
-                    failures.append(f"trial {trial}: det changed")
                 if stokes_monodromy_invariant(S2) != inv0:
                     failures.append(f"trial {trial}: char poly changed")
     ok = not failures
@@ -299,9 +294,9 @@ def criterion_10(seed: int = 0) -> CriterionResult:
 
 
 def criterion_11(seed: int = 0) -> CriterionResult:
-    data = pd_monodromy(1, dps=30)
+    data = pd_connection(1, dps=30).monodromy_data()
     rep = check_compatibility(data)
-    bad = pd_monodromy(1, dps=30)
+    bad = pd_connection(1, dps=30).monodromy_data()
     C = bad.connection.copy()
     C[0, 0] = C[0, 0] + 1e-3
     bad.connection = C
@@ -320,29 +315,15 @@ def criterion_12(seed: int = 0) -> CriterionResult:
     series = deformed_flat_coordinates(chart, 4)
     labels = [(al, p) for p in range(3) for al in (1, 2)]
     flows = {lab: hierarchy_flow(chart, lab[0], lab[1], series) for lab in labels}
-    sym_fail = []
-    for idx, la in enumerate(labels):
-        for lb in labels[idx + 1:]:
-            comm = flow_commutator_jets(flows[la], flows[lb])
-            if any(not entry.is_zero() for entry in comm):
-                sym_fail.append(f"{la} vs {lb}")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    pair_list = [(labels[i], labels[j]) for i in range(len(labels)) for j in range(i + 1, len(labels))]
-    for _ in range(20):
-        t = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        tx = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        txx = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        jet = list(t) + list(tx) + list(txx)
-        for la, lb in pair_list:
-            comm = flow_commutator_jets(flows[la], flows[lb])
-            val = max(abs(complex(e.evaluate(jet))) for e in comm)
-            worst = max(worst, val)
-    ok = not sym_fail and worst < 1e-9
-    return CriterionResult(
-        12, "hierarchy flows with p <= 2 commute on the A2 chart", ok,
-        f"symbolic commutators all zero: {not sym_fail}; numeric max on 20 jets {worst:.2e} (tol 1e-9)",
-    )
+    pairs = [(la, lb) for idx, la in enumerate(labels) for lb in labels[idx + 1:]]
+    sym_fail = [
+        f"{la} vs {lb}" for la, lb in pairs
+        if any(not entry.is_zero() for entry in flow_commutator_jets(flows[la], flows[lb]))
+    ]
+    ok = not sym_fail
+    detail = (f"all {len(pairs)} commutators identically zero" if ok
+              else "nonzero commutators: " + ", ".join(sym_fail))
+    return CriterionResult(12, "hierarchy flows with p <= 2 commute on the A2 chart", ok, detail)
 
 
 def criterion_13(seed: int = 0) -> CriterionResult:
@@ -370,10 +351,12 @@ ALL_CRITERIA = [
 
 
 def run_criteria(numbers=None, seed: int = 0) -> list[CriterionResult]:
-    """Run the numbered criteria (default all); a number outside 1..13 is a
-    ValidationError raised before any criterion runs."""
+    """Run the numbered criteria (default all); a number outside 1..13 or a
+    negative seed is a ValidationError raised before any criterion runs."""
     chosen = numbers or range(1, len(ALL_CRITERIA) + 1)
     bad = [k for k in chosen if not 1 <= k <= len(ALL_CRITERIA)]
     if bad:
         raise ValidationError(f"criterion numbers must lie in 1..{len(ALL_CRITERIA)}, got {bad}")
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     return [ALL_CRITERIA[k - 1](seed) for k in chosen]

@@ -7,11 +7,11 @@ such as ``an-build --n 0``), 2 numeric failure (tolerance, caustic).
 Diagnostics go to stderr with a distinguishing prefix (``usage-error:``,
 ``schema-error:``, ``algebra-error:``, ``numeric-error:``); machine output goes
 to stdout or files.
-The FROBFORGE_PRECISION environment variable sets the default working
-precision in decimal digits (default 30) for connection-matrix arithmetic.
 A tolerance (``--tol``, ``an-critical --precision``) must be finite and > 0,
-a digit count (``connection pd --precision``, FROBFORGE_PRECISION) an integer
+and a digit count (``connection pd --precision``, default 30) an integer
 >= 15; anything else exits 1 with ``schema-error:`` before any work.
+The dimension n is read from the input: ``an-critical`` takes n = len(--s)
+and ``isomonodromy run`` n = len(V), which must match every waypoint.
 """
 
 from __future__ import annotations
@@ -80,6 +80,13 @@ def _criteria(text: str) -> list[int]:
     return numbers
 
 
+def _seed(text: str) -> int:
+    """--seed: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"bad seed {text!r}: expected a non-negative integer")
+    return int(text)
+
+
 def _load_stokes(path: str):
     with open(path) as fh:
         return ser.stokes_from_json(json.load(fh))
@@ -98,10 +105,8 @@ def _cmd_an_build(args):
 
 
 def _cmd_an_critical(args):
-    unf = Unfolding.build(args.n)
     s = _parse_fraction_vector(args.s)
-    if len(s) != args.n:
-        raise ValidationError(f"expected {args.n} parameters, got {len(s)}")
+    unf = Unfolding.build(len(s))
     values = critical_values(unf, s, precision=args.precision)
     _emit([ser.complex_to_json(v) for v in values], args.out)
     return 0
@@ -164,12 +169,12 @@ def _cmd_canonical(args):
 def _cmd_isomonodromy_run(args):
     with open(args.v0) as fh:
         V = ser.skew_matrix_from_json(json.load(fh))
-    if len(V) != args.n:
-        raise ValidationError(f"V must be {args.n} x {args.n}")
     path = ser.waypoint_list_from_string(args.path)
+    n = len(V)
+    if n != len(path[0]):
+        raise ValidationError(f"V is {n} x {n} but the first waypoint has {len(path[0])} entries")
     state = IsomonodromyState.from_matrix(path[0], V)
     traj = integrate(state, path[1:], tol=args.tol)
-    n = args.n
     header = ["param"]
     for i in range(n):
         header += [f"u{i + 1}_re", f"u{i + 1}_im"]
@@ -321,7 +326,6 @@ def build_parser() -> _Parser:
     q.set_defaults(fn=_cmd_an_build)
 
     q = sub.add_parser("an-critical", help="critical values of the unfolding at numeric s")
-    q.add_argument("--n", type=int, required=True)
     q.add_argument("--s", required=True, help="comma-separated rationals")
     q.add_argument("--precision", type=float, default=1e-12)
     q.add_argument("--out")
@@ -354,7 +358,6 @@ def build_parser() -> _Parser:
     iso = sub.add_parser("isomonodromy", help="isomonodromy flows")
     iso_sub = iso.add_subparsers(dest="subcommand", required=True)
     q = iso_sub.add_parser("run", help="integrate along a piecewise-linear u-path")
-    q.add_argument("--n", type=int, required=True)
     q.add_argument("--v0", required=True, help="JSON file with the initial skew V")
     q.add_argument("--path", required=True, help="semicolon-separated u waypoints")
     q.add_argument("--tol", type=float, default=1e-10)
@@ -415,7 +418,7 @@ def build_parser() -> _Parser:
     q = sub.add_parser("selftest", help="run the acceptance criteria")
     q.add_argument("--criteria", type=_criteria,
                    help="comma-separated criterion numbers (default all)")
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_seed, default=0)
     q.set_defaults(fn=_cmd_selftest)
 
     return p

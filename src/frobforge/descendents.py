@@ -35,7 +35,7 @@ import numpy as np
 from .charts import FMChart, Potential
 from .deformed import DeformedFlatSeries, _require_label, deformed_flat_coordinates
 from .errors import AlgebraError, NumericError
-from .frames import _as_evaluator, canonical_coordinates
+from .frames import _as_evaluator
 from .isomonodromy import GValue, g_function
 from .poly import MultiPoly
 
@@ -105,16 +105,6 @@ class HierarchyFlow:
     alpha: int
     p: int
     matrix: list[list[Potential]]
-
-    def apply(self, t, t_x) -> np.ndarray:
-        n = len(self.matrix)
-        tt = np.asarray(t, dtype=complex)
-        tx = np.asarray(t_x, dtype=complex)
-        A = np.array(
-            [[complex(self.matrix[g][e].evaluate(list(tt))) for e in range(n)]
-             for g in range(n)]
-        )
-        return A @ tx
 
 
 def hierarchy_flow(
@@ -210,12 +200,11 @@ class Genus1Value:
 def genus1_restricted(chart, t, tdot, base_point) -> Genus1Value:
     """Restricted genus-1 free energy at (t, tdot); its G part is the
     g_function difference from ``base_point`` at the default tolerance.
-    ``chart`` is an FMChart or a ChartEvaluator.  Requires t semisimple and M
-    nonsingular."""
+    ``chart`` is an FMChart or a ChartEvaluator.  Requires M nonsingular and
+    t semisimple: g_function's frames raise SemisimplicityError otherwise."""
     ev = _as_evaluator(chart)
     tt = np.array([complex(x) for x in t], dtype=complex)
     td = np.array([complex(x) for x in tdot], dtype=complex)
-    canonical_coordinates(ev, tt)  # semisimplicity gate
     M = np.einsum("abg,g->ab", ev.third(tt), td)
     det = complex(np.linalg.det(M))
     if abs(det) < 1e-13:

@@ -109,8 +109,12 @@ def _as_point(t) -> np.ndarray:
 def canonical_coordinates(chart, t, margin: float = DEFAULT_MARGIN) -> np.ndarray:
     """Eigenvalues of Euler multiplication at t, sorted by (Re, Im).
 
-    Raises SemisimplicityError when two eigenvalues come closer than
-    margin * max|u| (the point is outside the semisimple stratum)."""
+    A second eigen path beside ``canonical_frames``, kept as the cheap gate
+    of point searches (criterion 5's sampler, and segment searches at margin
+    1e-2): it takes eigenvalues only, with no idempotent purification and no
+    frame, so its u carry the raw ``eigvals`` error.  Raises
+    SemisimplicityError when two eigenvalues come closer than margin * max|u|
+    (the point is outside the semisimple stratum)."""
     ev = _as_evaluator(chart)
     tt = _as_point(t)
     u = np.linalg.eigvals(ev.euler_mult(tt))

@@ -36,7 +36,6 @@ modulo sign diagonals.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -46,7 +45,7 @@ import mpmath as mp
 
 from .errors import AlgebraError, ValidationError
 from .linalg import mat_inverse, mat_mul, mat_transpose
-from .projective import pd_classical_data, pd_stokes
+from .projective import pd_classical_data
 
 Matrix = list[list[int | Fraction]]
 MIN_DPS = 15  # fewest working digits for connection-matrix arithmetic
@@ -54,14 +53,8 @@ COMPAT_TOL = 1e-8  # largest compatibility residual that passes
 
 
 def default_dps() -> int:
-    """Working digits from FROBFORGE_PRECISION (default 30): an integer >= MIN_DPS."""
-    text = os.environ.get("FROBFORGE_PRECISION", "30")
-    try:
-        if int(text) >= MIN_DPS:
-            return int(text)
-    except ValueError:
-        pass
-    raise ValidationError(f"FROBFORGE_PRECISION must be an integer >= {MIN_DPS}, got {text!r}")
+    """Working digits of ``pd_connection`` when none are given."""
+    return 30
 
 
 def _mp_matrix(rows) -> mp.matrix:
@@ -402,12 +395,3 @@ def pd_connection(d: int, dps: int | None = None) -> PdConnectionData:
                 cpp[be, j] = (2 * mp.pi * 1j * j) ** be / mp.factorial(be)
         c = cp * cpp
     return PdConnectionData(d, tuple(a), cp, cpp, c, dps)
-
-
-def pd_monodromy(d: int, dps: int | None = None) -> MonodromyData:
-    """Full monodromy tuple of P^d with the binomial Stokes matrix binom(d+1, j-i),
-    with which C is compatible exactly when d = 1; for d >= 2 C's partner is the
-    Gram form of ``pd_connection(d, dps).monodromy_data()``, a braid away."""
-    data = pd_connection(d, dps).monodromy_data()
-    data.stokes = pd_stokes(d)
-    return data

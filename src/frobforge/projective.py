@@ -68,7 +68,6 @@ def instanton_numbers(max_degree: int) -> list[Fraction]:
             )},
         )
         candidate: Fraction | None = None
-        conditions = 0
         # the unknown NU rides along as a fourth variable
         for _, residual in wdvv_residuals(F, eta_inv):
             part = residual.part(d)
@@ -92,7 +91,6 @@ def instanton_numbers(max_degree: int) -> list[Fraction]:
                 raise AlgebraError(f"inconsistent conditions at degree {d}")
             if not (r0 + r1.scale(value)).is_zero():
                 raise AlgebraError(f"degree-{d} residual does not vanish")
-            conditions += 1
         if candidate is None:
             if d != 1:
                 raise AlgebraError(f"degree {d} left the count undetermined")

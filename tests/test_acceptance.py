@@ -20,10 +20,18 @@ def _run(k):
     return result
 
 
-@pytest.mark.parametrize("numbers", [[0], [-1], [14], [3, 99]])
-def test_criterion_numbers_outside_the_suite_are_rejected(numbers):
-    with pytest.raises(ValidationError, match="1..13"):
-        acceptance.run_criteria(numbers)
+@pytest.mark.parametrize("numbers, seed, message", [
+    pytest.param([0], 0, "1..13", id="numbers0"),
+    pytest.param([-1], 0, "1..13", id="numbers1"),
+    pytest.param([14], 0, "1..13", id="numbers2"),
+    pytest.param([3, 99], 0, "1..13", id="numbers3"),
+    pytest.param([3], -1, "non-negative", id="seed-1"),
+])
+def test_criterion_numbers_outside_the_suite_are_rejected(numbers, seed, message, monkeypatch):
+    # every criterion is replaced by a failure, so none may run before the check
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [None] * len(acceptance.ALL_CRITERIA))
+    with pytest.raises(ValidationError, match=message):
+        acceptance.run_criteria(numbers, seed=seed)
 
 
 def test_criterion_1_unfolding_wdvv_exact():

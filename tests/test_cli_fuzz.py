@@ -183,10 +183,12 @@ def test_bad_stokes_input_is_diagnosed(path, value, argv, prefix):
     assert code == 1 and err.startswith(prefix), (argv, code, err)
 
 
-@pytest.mark.parametrize("criteria", ["0", "-1", "x", "99", ","])
-def test_bad_selftest_criteria_are_usage_errors(criteria):
-    code, err = run_cli(["selftest", "--criteria", criteria])
-    assert code == 1 and err.startswith("usage-error: "), (criteria, code, err)
+@pytest.mark.parametrize("flags", [["--criteria", c] for c in ("0", "-1", "x", "99", ",")]
+                         + [["--seed=-1"], ["--seed", "x"]],
+                         ids=["0", "-1", "x", "99", ",", "seed=-1", "seed=x"])
+def test_bad_selftest_criteria_are_usage_errors(flags):
+    code, err = run_cli(["selftest", *flags])
+    assert code == 1 and err.startswith("usage-error: "), (flags, code, err)
 
 
 def test_connection_with_wrong_columns_is_schema_error(tmp_path):
@@ -216,7 +218,7 @@ V_PATHS = [(), (0,), (1,), (0, 1), (1, 0), (1, 1), (2, 0), (2, 2)]
 
 def isomonodromy_command(path=U_PATH):
     # "--flag=value", so that a value such as "-inf" is not read as an option
-    return ["isomonodromy", "run", "--n", "3", f"--path={path}", "--tol", "1e-8"]
+    return ["isomonodromy", "run", f"--path={path}", "--tol", "1e-8"]
 
 
 # (where, value, case id) of each V that must be a schema error

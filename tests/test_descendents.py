@@ -12,7 +12,7 @@ from frobforge.descendents import (
     hierarchy_flow,
     omega_table,
 )
-from frobforge.errors import AlgebraError
+from frobforge.errors import AlgebraError, SemisimplicityError
 from frobforge.frames import ChartEvaluator
 from frobforge.linalg import frac_matrix
 from frobforge.poly import MultiPoly
@@ -290,6 +290,15 @@ def test_flows_commute_symbolically_on_a2():
     for a, b in ((f10, f21), (f21, f12), (f10, f12)):
         comm = flow_commutator_jets(a, b)
         assert all(entry.is_zero() for entry in comm)
+    # control: t2 added to any one entry of flow (2, 1) breaks commutation
+    t2 = MultiPoly.variable(2, 1)
+    for g in range(2):
+        for e in range(2):
+            matrix = [row[:] for row in f21.matrix]
+            matrix[g][e] = matrix[g][e] + t2
+            bad = dataclasses.replace(f21, matrix=matrix)
+            comm = flow_commutator_jets(bad, f12)
+            assert any(not entry.is_zero() for entry in comm), (g, e)
 
 
 def test_genus1_unity_velocity_gives_eta_determinant():
@@ -299,6 +308,12 @@ def test_genus1_unity_velocity_gives_eta_determinant():
     eta = np.array([[float(x) for x in row] for row in chart.eta])
     expect = np.log(complex(np.linalg.det(eta)))
     assert abs(val.log_det_m - expect) < 1e-12
+
+
+def test_genus1_at_a_caustic_raises_semisimplicity_error():
+    # at t = 0 all canonical coordinates of A3 coincide; M = eta is regular
+    with pytest.raises(SemisimplicityError):
+        genus1_restricted(build_an_chart(3), [0, 0, 0], [1, 0, 0], base_point=[0.3, 0.5, 1.2])
 
 
 def test_genus1_line_chart_direct_substitution():

@@ -17,7 +17,6 @@ from frobforge.monodromy import (
     check_compatibility,
     gamma_laurent_coefficients,
     pd_connection,
-    pd_monodromy,
     sign_canonical,
     stokes_monodromy_invariant,
 )
@@ -224,11 +223,11 @@ def test_gram_and_binomial_stokes_share_an_orbit():
 
 def test_braid_action_preserves_compatibility():
     # S -> KSK together with C -> CK leaves the pairing identity intact
-    data = pd_monodromy(1, dps=30)
+    data = pd_connection(1, dps=30).monodromy_data()
     with mp.workdps(40):
         for word in ([1], [1, 1], [-1, 1, 1]):
             S2, C2 = braid_word(data.stokes, data.connection, word)
-            moved = pd_monodromy(1, dps=30)
+            moved = pd_connection(1, dps=30).monodromy_data()
             moved.stokes, moved.connection = S2, C2
             rep = check_compatibility(moved)
             assert rep.residual < 1e-12, (word, rep.residual)
@@ -260,7 +259,7 @@ def test_trivial_compatibility_identity():
 
 
 def test_compatibility_negative_control():
-    data = pd_monodromy(1, dps=30)
+    data = pd_connection(1, dps=30).monodromy_data()
     C = data.connection.copy()
     C[1, 0] = C[1, 0] + mp.mpf("1e-3")
     data.connection = C
@@ -268,7 +267,7 @@ def test_compatibility_negative_control():
 
 
 def test_monodromy_validation():
-    data = pd_monodromy(1, dps=30)
+    data = pd_connection(1, dps=30).monodromy_data()
     assert data.validate() == []
     bad = MonodromyData(
         n=2,

@@ -125,7 +125,7 @@ def test_cli_qh_p2(tmp_path):
 
 
 def test_cli_critical_values(tmp_path, capsys):
-    assert main(["an-critical", "--n", "2", "--s=-3,0"]) == 0
+    assert main(["an-critical", "--s=-3,0"]) == 0
     vals = json.loads(capsys.readouterr().out)
     got = sorted(float(v["re"]) for v in vals)
     assert got == pytest.approx([-2.0, 2.0], abs=1e-9)
@@ -195,7 +195,7 @@ def test_cli_isomonodromy_run(tmp_path, capsys):
     ]))
     out = tmp_path / "traj.csv"
     argv = [
-        "isomonodromy", "run", "--n", "3", "--v0", str(v0),
+        "isomonodromy", "run", "--v0", str(v0),
         "--path", "0,1,2+1j; 0.4,1.3,2+1j", "--tol", "1e-9",
     ]
     assert main(argv + ["--out", str(out)]) == 0
@@ -209,6 +209,15 @@ def test_cli_isomonodromy_run(tmp_path, capsys):
         assert capsys.readouterr().out == fh.read()
 
 
+def test_cli_isomonodromy_run_needs_v_to_match_the_waypoints(tmp_path, capsys):
+    v0 = tmp_path / "v0.json"
+    v0.write_text(json.dumps([["0", "0.3"], ["-0.3", "0"]]))
+    assert main(["isomonodromy", "run", "--v0", str(v0), "--path", "0,1,2+1j; 0.4,1.3,2+1j"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("schema-error: V is 2 x 2 but the first waypoint has 3 entries")
+    assert captured.out == ""
+
+
 def test_cli_canonical_output_feeds_isomonodromy_run(tmp_path):
     chart_path, frame_path = tmp_path / "a3.json", tmp_path / "frame.json"
     main(["an-build", "--n", "3", "--out", str(chart_path)])
@@ -216,7 +225,7 @@ def test_cli_canonical_output_feeds_isomonodromy_run(tmp_path):
                  "--out", str(frame_path)]) == 0
     u = [complex_from_json(x) for x in json.loads(frame_path.read_text())["u"]]
     path = "; ".join(",".join(repr(s * x) for x in u) for s in (1, 1.1))
-    assert main(["isomonodromy", "run", "--n", "3", "--v0", str(frame_path),
+    assert main(["isomonodromy", "run", "--v0", str(frame_path),
                  f"--path={path}", "--tol", "1e-8", "--out", str(tmp_path / "traj.csv")]) == 0
 
 
@@ -291,7 +300,7 @@ def test_cli_rejects_a_bad_tolerance_before_any_work(tmp_path, capsys, tol):
     capsys.readouterr()
     for argv in (
         ["gfunction", "--chart", str(chart_path), "--t0", "0.2,0.4,1.1", "--t1", "0.9,0.4,1.1"],
-        ["isomonodromy", "run", "--n", "3", "--v0", str(v0), "--path", "0,1,2+1j; 0.4,1.3,2+1j"],
+        ["isomonodromy", "run", "--v0", str(v0), "--path", "0,1,2+1j; 0.4,1.3,2+1j"],
     ):
         start = time.perf_counter()
         assert main(argv + [f"--tol={tol}"]) == 1
@@ -302,9 +311,9 @@ def test_cli_rejects_a_bad_tolerance_before_any_work(tmp_path, capsys, tol):
 
 
 @pytest.mark.parametrize("argv", [
-    ["an-critical", "--n", "2", "--s=-3,0", "--precision", "0"],
-    ["an-critical", "--n", "2", "--s=-3,0", "--precision", "nan"],
-    ["an-critical", "--n", "2", "--s=-3,0", "--precision", "-1"],
+    ["an-critical", "--s=-3,0", "--precision", "0"],
+    ["an-critical", "--s=-3,0", "--precision", "nan"],
+    ["an-critical", "--s=-3,0", "--precision", "-1"],
     ["connection", "pd", "--d", "1", "--precision", "-3"],
     ["connection", "pd", "--d", "1", "--precision", "0"],
     ["connection", "pd", "--d", "1", "--precision", "14"],
@@ -318,18 +327,8 @@ def test_cli_rejects_a_bad_precision(argv, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("value", ["abc", "5", "14"])
-def test_cli_rejects_a_bad_precision_variable(value, monkeypatch, capsys):
-    monkeypatch.setenv("FROBFORGE_PRECISION", value)
-    assert main(["connection", "pd", "--d", "1"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("schema-error: FROBFORGE_PRECISION must be an integer >= 15")
-    assert captured.out == ""
-
-
-def test_cli_connection_precision_floor_is_accepted(monkeypatch, capsys):
-    monkeypatch.setenv("FROBFORGE_PRECISION", "15")
-    assert main(["connection", "pd", "--d", "1"]) == 0
+def test_cli_connection_precision_floor_is_accepted(capsys):
+    assert main(["connection", "pd", "--d", "1", "--precision", "15"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["precision_dps"] == 15
     assert out["compatibility_residual"] < 1e-8
