@@ -4,7 +4,9 @@
 Integrates a random n = 3 system around a caustic-free rectangle and prints
 the accumulated log tau and the return error of V; both should shrink with
 the tolerance since the integrand is a closed form.  Exits 1 when either
-exceeds the tolerance of its row.
+exceeds the tolerance of its row, or when the tol 1e-12 row takes
+MAX_STEPS_AT_1E12 or more accepted steps (a fifth-order stepper takes 135,
+the 8(5,3) pair 27).
 """
 
 import sys
@@ -12,6 +14,8 @@ import sys
 import numpy as np
 
 from frobforge import IsomonodromyState, integrate
+
+MAX_STEPS_AT_1E12 = 135
 
 
 def main():
@@ -34,9 +38,12 @@ def main():
             f"{tol:8.0e}  {abs(traj.log_tau):12.3e}  {verr:12.3e}  "
             f"{traj.steps:6d}  {traj.rejected:4d}"
         )
-        failed |= max(abs(traj.log_tau), verr) > tol
-    if failed:
-        print("a closed loop drifted by more than its tolerance", file=sys.stderr)
+        if max(abs(traj.log_tau), verr) > tol:
+            print(f"tol {tol:.0e}: the closed loop drifted by more than its tolerance", file=sys.stderr)
+            failed = True
+    if traj.steps >= MAX_STEPS_AT_1E12:
+        print(f"tol 1e-12: {traj.steps} accepted steps, at least {MAX_STEPS_AT_1E12}", file=sys.stderr)
+        failed = True
     return int(failed)
 
 

@@ -9,6 +9,7 @@ and are deterministic given it.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 import time
 from dataclasses import dataclass, replace
@@ -20,7 +21,7 @@ from .charts import check_wdvv, virasoro_central_charge
 from .deformed import deformed_flat_coordinates, pairing_holds
 from .descendents import flow_commutator_jets, hierarchy_flow, omega_table
 from .errors import FrobforgeError, NumericError, SemisimplicityError, ValidationError
-from .frames import ChartEvaluator, canonical_coordinates, canonical_frames
+from .frames import ChartEvaluator, canonical_coordinates, canonical_frames, match_ordering
 from .isomonodromy import IsomonodromyState, g_function, integrate
 from .linalg import is_constant_multiple
 from .monodromy import (
@@ -207,6 +208,42 @@ def criterion_6(seed: int = 0) -> CriterionResult:
     return CriterionResult(6, "frame identities at the same 20 points", ok, detail)
 
 
+def _miss_modulo_signs(V: np.ndarray, V1: np.ndarray) -> float:
+    """min over sign diagonals D of max |V - D V1 D|: frames fix V only up to
+    the signs of their rows."""
+    n = len(V)
+    return min(
+        float(np.max(np.abs(V - np.diag(d) @ V1 @ np.diag(d))))
+        for d in ((1, *rest) for rest in itertools.product((1, -1), repeat=n - 1))
+    )
+
+
+def _chart_tie(ev: ChartEvaluator, t0, t1) -> tuple[tuple[float, float], tuple[float, float]]:
+    """How far free integration lands from the chart.  From the frame at t0,
+    ``integrate`` (tol 1e-12) follows the u's of 17 frames along the straight
+    t-segment, their labels continued point to point by ``match_ordering``.
+    Returns the misses (V modulo signs against the frame at t1, Delta log tau
+    against ``g_function(tol=1e-12)``) from V0 and from V0 with a 1e-3 skew
+    change of its (0, 1) entry: the first pair must be tiny and the second
+    not, or the tie cannot tell a wrong trajectory from the right one."""
+    t0 = np.asarray(t0)
+    fr = canonical_frames(ev, t0 + np.linspace(0, 1, 17)[:, None] * (np.asarray(t1) - t0))
+    path, p = [fr.u[0]], list(range(ev.n))
+    for u in fr.u[1:]:
+        p = list(match_ordering(path[-1], u))
+        path.append(u[p])
+    v1 = fr.v[-1][np.ix_(p, p)]
+    d_log_tau = g_function(ev, t0, t1, tol=1e-12).d_log_tau
+    bent = fr.v[0].copy()
+    bent[0, 1] += 1e-3
+    bent[1, 0] -= 1e-3
+    misses = []
+    for start in (fr.v[0], bent):
+        traj = integrate(IsomonodromyState.from_matrix(path[0], start), path[1:], tol=1e-12)
+        misses.append((_miss_modulo_signs(traj.final_state.v_matrix, v1), abs(traj.log_tau - d_log_tau)))
+    return misses[0], misses[1]
+
+
 def criterion_7(seed: int = 0) -> CriterionResult:
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -231,11 +268,21 @@ def criterion_7(seed: int = 0) -> CriterionResult:
     traj_shift = integrate(st, shift, tol=1e-10)
     trans = float(np.max(np.abs(traj_shift.final_state.v_matrix - V0)))
 
-    ok = drift < 1e-8 and tau_drift < 1e-6 and trans < 1e-9
+    # the chart tie: conservation alone cannot tell a wrong trajectory that
+    # conserves from the right one
+    t0 = 0.8 + 0.3 * rng.normal(size=4) + 0.2j * rng.normal(size=4)
+    t1 = t0 + 0.1 * (rng.normal(size=4) + 1j * rng.normal(size=4))
+    (v_miss, tau_miss), (v_bent, tau_bent) = _chart_tie(ChartEvaluator(_an(4)), t0, t1)
+    tie = v_miss < 1e-10 and tau_miss < 1e-10
+    control = min(v_bent, tau_bent) > 1e-7
+
+    ok = drift < 1e-8 and tau_drift < 1e-6 and trans < 1e-9 and tie and control
     return CriterionResult(
-        7, "isomonodromy conservation laws (n=3)", ok,
+        7, "isomonodromy conservation laws (n=3) and the A4 chart tie", ok,
         f"eigen drift {drift:.2e} (tol 1e-8); loop dlogtau {tau_drift:.2e} (tol 1e-6); "
-        f"translation drift {trans:.2e} (tol 1e-9)",
+        f"translation drift {trans:.2e} (tol 1e-9); A4 chart tie: V {v_miss:.2e}, dlogtau "
+        f"{tau_miss:.2e} (tol 1e-10), and from V0 bent by 1e-3: {v_bent:.2e}, {tau_bent:.2e} "
+        f"{'(both > 1e-7, fail as required)' if control else '(must both exceed 1e-7)'}",
     )
 
 

@@ -10,10 +10,11 @@ Both are evaluated in one closed form: with R_jk = V_jk / (u_j - u_k),
 sum_i du_i V_i = R o (du_j - du_k) and H_i = 1/2 sum_j V_ij R_ij, so no V_i
 is built (``frames.vi_matrices`` builds them for the tests that check this
 form).  ``flow_rhs`` and every step of ``integrate`` first require the u_i
-to be DEFAULT_MARGIN * max|u| apart.  Free integration uses an embedded
-Dormand-Prince 5(4) pair with adaptive steps on the strict upper triangle of
-V (skewness is exact by representation).  Chart-driven evaluation
-recomputes V from frames instead of evolving it, which is what the G-function
+to be DEFAULT_MARGIN * max|u| apart.  Free integration steps the strict
+upper triangle of V (skewness is exact by representation) and log tau with
+the embedded Dormand-Prince 8(5,3) pair, each leg of the path starting from
+the previous leg's last free step.  Chart-driven evaluation recomputes V
+from frames instead of evolving it, which is what the G-function
 
     G = log tau - (1/24) log J,   J = det(dt^a/du_i)
 
@@ -114,19 +115,64 @@ def _directional_flow(u: np.ndarray, V: np.ndarray, du: np.ndarray) -> tuple[np.
     return X - X.T, (V * R).sum(axis=-1) @ du / 2
 
 
-# Dormand-Prince 5(4) tableau
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = tuple(np.array(row) for row in (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+# Dormand-Prince 8(5,3) pair (Hairer, Norsett & Wanner, Solving ODEs I, 2nd
+# ed. 1993, II.10; the coefficients of their DOP853): nodes c and rows of A
+# for the 12 stages, then the end-point stage f(s + h, y + h b.k) at c = 1,
+# which is the first stage of the next step.  b is the 8th-order solution;
+# E5 and E3 are b minus a 5th- and a 3rd-order solution, over the 12 stages
+# and the end-point stage (whose weight is zero in both).
+_C = np.array((
+    0.0, 0.526001519587677318785587544488e-1, 0.789002279381515978178381316732e-1,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    1 / 3, 0.25, 4 / 13, 127 / 195, 0.6, 6 / 7, 1.0, 1.0,
 ))
-_DP_B5 = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0))
-_DP_B4 = np.array((5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40))
+_A = tuple(np.array(row) for row in (
+    (),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
+))
+_B = np.array((
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0, 4.45031289275240888144113950566,
+    1.89151789931450038304281599044, -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2,
+))
+_E5 = np.array((
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0, -0.1225156446376204440720569753e1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1, 0.0,
+))
+_E3 = np.append(_B, 0.0)
+_E3[[0, 8, 11]] -= (0.244094488188976377952755905512, 0.733846688281611857341361741547,
+                    0.220588235294117647058823529412e-1)
+_ERRORS = np.array((_E5[:12], _E3[:12]))  # the end-point stage weighs nothing in either
 MAX_STEPS = 200_000  # accepted plus rejected steps before integrate gives up
 
 
@@ -166,19 +212,26 @@ class IsomonodromyTrajectory:
         return self.samples[-1].log_tau
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises NumericError in the step instead
 def integrate(state0: IsomonodromyState, path, tol: float = 1e-10) -> IsomonodromyTrajectory:
     """Integrate dV = sum_i [V_i, V] du_i along a piecewise-linear u-path.
 
     ``path`` is a sequence of u-waypoints continuing from state0.u; a first
     waypoint exactly equal to state0.u is skipped, and any other is the end
     of a first leg, however short.  log tau accumulates through the same
-    error-controlled steps, whose local error is held below ``tol`` (finite,
-    > 0).  The state and every waypoint must be finite with n components,
-    which is checked before any step.  A step that would bring two u_i within
-    DEFAULT_MARGIN * max|u| raises SemisimplicityError, and more than
-    MAX_STEPS steps raise NumericError."""
+    steps of the 8(5,3) pair, whose local error is held below ``tol`` (finite,
+    > 0) times max(1, |y|).  The first leg starts at a tenth of its length;
+    every later leg starts at the u-distance of the previous leg's last free
+    step (the one before it was clipped to reach the waypoint), capped at the
+    whole leg.  The state (n >= 1) and every waypoint must be finite with n
+    components, which is checked before any step.  A step that would bring two
+    u_i within DEFAULT_MARGIN * max|u| raises SemisimplicityError; a
+    non-finite stage or error estimate, and more than MAX_STEPS steps, raise
+    NumericError."""
     require_positive(tol, "tol")
     n = state0.n
+    if n < 1:
+        raise ValidationError("a state needs at least one coordinate u_i, got n = 0")
     n_upper = n * (n - 1) // 2
     u0 = _finite_point(state0.u, n, "u")
     v0 = _finite_point(state0.v_upper, n_upper, f"the upper triangle of V for n = {n}")
@@ -205,41 +258,67 @@ def integrate(state0: IsomonodromyState, path, tol: float = 1e-10) -> Isomonodro
     _require_separated(u0, DEFAULT_MARGIN, "path hits a caustic")
     record(0.0, u0, y)
 
+    reach = None  # u-distance of the previous leg's last free (unclipped) step
     for seg in range(len(waypoints) - 1):
         ua, ub = waypoints[seg], waypoints[seg + 1]
         du = ub - ua
+        length = float(np.abs(du).max())
 
         def rhs(s: float, yv: np.ndarray) -> np.ndarray:
             dV, dtau = _directional_flow(ua + s * du, skew_from_upper(n, yv[:n_upper]), du)
             return np.concatenate((dV[upper], [dtau]))
 
         s = 0.0
-        h = 0.1
+        if reach is None:
+            h = 0.1
+        else:
+            h = min(1.0, reach / length) if length else 1.0
+        k0 = None  # f(s, y): the end-point stage of the last accepted step
         while s < 1.0:
             if traj.steps + traj.rejected > MAX_STEPS:
                 raise NumericError("step limit exceeded")
+            free = h
             h = min(h, 1.0 - s)
             if h < 1e-14:
                 raise NumericError("step-size underflow (likely near a caustic)")
             _require_separated(ua + (s + h) * du, DEFAULT_MARGIN, "path hits a caustic")
-            k = np.empty((7, len(y)), dtype=complex)
-            k[0] = rhs(s, y)
-            for stage in range(1, 7):
-                k[stage] = rhs(s + _DP_C[stage] * h, y + h * (_DP_A[stage] @ k[:stage]))
-            y5 = y + h * (_DP_B5 @ k)
-            y4 = y + h * (_DP_B4 @ k)
-            err = float(np.max(np.abs(y5 - y4)))
-            scale = max(1.0, float(np.max(np.abs(y5))))
+            if k0 is None:
+                k0 = rhs(s, y)
+            y_new, err = _dop853_step(rhs, s, y, h, k0)
+            scale = max(1.0, float(np.max(np.abs(y_new))))
             if err <= tol * scale:
                 s += h
-                y = y5
+                y, k0 = y_new, None
                 traj.steps += 1
                 record(seg + s, ua + s * du, y)
             else:
                 traj.rejected += 1
-            factor = 0.9 * (tol * scale / err) ** 0.2 if err > 0 else 5.0
+            factor = 0.9 * (tol * scale / err) ** 0.125 if err > 0 else 5.0
             h *= min(5.0, max(0.2, factor))
+        if length:
+            reach = free * length
     return traj
+
+
+def _dop853_step(f, s: float, y: np.ndarray, h: float, k0: np.ndarray) -> tuple[np.ndarray, float]:
+    """One step of the 8(5,3) pair for y' = f(s, y) from (s, y), given its
+    first stage k0 = f(s, y): the 8th-order y(s + h) and Hairer's combined
+    error estimate h e5^2 / sqrt(e5^2 + 0.01 e3^2), with e5 = max|E5.k| and
+    e3 = max|E3.k|.  A non-finite stage or estimate raises NumericError."""
+    k = np.empty((12, len(y)), dtype=y.dtype)
+    k[0] = k0
+    for i in range(1, 12):
+        k[i] = f(s + _C[i] * h, y + h * (_A[i] @ k[:i]))
+    y_new = y + h * (_B @ k)
+    e5, e3 = np.abs(_ERRORS @ k).max(axis=1)
+    norm = e5 * e5 + 0.01 * e3 * e3
+    err = h * e5 * e5 / np.sqrt(norm) if norm > 0 else 0.0
+    if not (np.isfinite(k).all() and np.isfinite(err)):
+        raise NumericError(
+            f"the right-hand side overflowed: a non-finite stage or error estimate "
+            f"in the step from s = {s:.6g} of length {h:.3g}"
+        )
+    return y_new, float(err)
 
 
 # -- chart-driven G-function ---------------------------------------------------

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 from fractions import Fraction
 from math import factorial
 
@@ -7,8 +6,9 @@ import numpy as np
 import pytest
 
 from frobforge import isomonodromy
+from frobforge.acceptance import _chart_tie
 from frobforge.errors import NumericError, SemisimplicityError, ValidationError
-from frobforge.frames import FRAME_TOL, ChartEvaluator, canonical_frames, match_ordering, vi_matrices
+from frobforge.frames import FRAME_TOL, ChartEvaluator, vi_matrices
 from frobforge.isomonodromy import (
     IsomonodromyState,
     _directional_flow,
@@ -218,6 +218,36 @@ def test_integrate_takes_a_short_first_leg():
     assert alone.final_state == after_u0.final_state
 
 
+def test_integrate_takes_short_legs_in_few_steps():
+    # every leg after the first starts from the last free step of the one
+    # before, so 16 short legs of a straight segment cost fewer than 3 steps
+    # each and land where the segment taken as one leg does
+    u0 = np.array([0.0, 1.0, 2 + 1j])
+    du = np.array([0.02, -0.03, 0.1 + 0.05j])
+    st = IsomonodromyState.from_matrix(u0, random_skew(3, 6))
+    legs = [u0 + k / 16 * du for k in range(1, 17)]
+    assert max(np.abs(b - a).max() for a, b in zip([u0] + legs, legs)) <= 1e-2
+    traj = integrate(st, legs, tol=1e-12)
+    params = np.array([smp.param for smp in traj.samples[1:]])
+    per_leg = [int(((params > seg) & (params <= seg + 1)).sum()) for seg in range(16)]
+    assert max(per_leg[1:]) < 3
+    whole = integrate(st, [u0 + du], tol=1e-12)
+    assert np.max(np.abs(traj.final_state.v_matrix - whole.final_state.v_matrix)) < 1e-10
+    assert abs(traj.log_tau - whole.log_tau) < 1e-10
+
+
+def test_integrate_raises_on_an_overflowing_right_hand_side():
+    # V^2 overflows: the first step raises instead of rejecting until MAX_STEPS
+    st = IsomonodromyState.from_matrix([0.0, 1.0], [[0, 1e170], [-1e170, 0]])
+    with pytest.raises(NumericError, match="overflowed"):
+        integrate(st, [[0.5, 3.0]], tol=1e-10)
+
+
+def test_integrate_rejects_an_empty_state():
+    with pytest.raises(ValidationError, match="at least one coordinate"):
+        integrate(IsomonodromyState((), ()), [], tol=1e-10)
+
+
 # (tol, G end point, integrate waypoint, message): a bad tolerance, then
 # malformed points, each rejected as ValidationError before numpy sees it
 _BAD_INPUTS = [
@@ -293,6 +323,33 @@ def test_gauss_kronrod_table():
     assert _rule_miss(nodes, k15, 24) > 1e-9 and _rule_miss(nodes, g7, 14) > 1e-5
 
 
+def _order_miss(A, b, c):
+    """Largest miss of the quadrature conditions b.c^k = 1/(k+1) (k <= 7)
+    and the tall-tree conditions b^T A^(k-1) 1 = 1/k! (k <= 8) of order 8."""
+    quad = [abs(b @ c**k - 1 / (k + 1)) for k in range(8)]
+    tree = [abs(b @ np.linalg.matrix_power(A, k - 1) @ np.ones(len(b)) - 1 / factorial(k)) for k in range(1, 9)]
+    return max(quad + tree)
+
+
+def test_dop853_table():
+    # the typed-in 8(5,3) pair: rows of A sum to c, b is of order 8, and the
+    # error rows E5, E3 (over the 12 stages and the end-point stage at c = 1)
+    # vanish on polynomials of degree <= 4 and <= 2 and no further
+    A = np.zeros((12, 12))
+    for i, row in enumerate(isomonodromy._A):
+        A[i, :len(row)] = row
+    b, c, e5, e3 = isomonodromy._B, isomonodromy._C, isomonodromy._E5, isomonodromy._E3
+    assert len(c) == len(e5) == len(e3) == 13 and c[-1] == 1
+    assert np.abs(A.sum(axis=1) - c[:12]).max() < 1e-14
+    assert _order_miss(A, b, c[:12]) < 1e-14
+    assert max(abs(e5 @ c**k) for k in range(5)) < 1e-14 and abs(e5 @ c**5) > 1e-4
+    assert max(abs(e3 @ c**k) for k in range(3)) < 1e-14 and abs(e3 @ c**3) > 1e-2
+    # control: one weight changed by 1e-6 misses
+    bent = b.copy()
+    bent[5] += 1e-6
+    assert _order_miss(A, bent, c[:12]) > 1e-14
+
+
 def test_g_function_unity_invariance():
     chart = build_an_chart(3)
     ev = ChartEvaluator(chart)
@@ -344,15 +401,6 @@ def test_chart_frames_solve_the_free_flow():
     assert abs(traj.log_tau - gv.d_log_tau) < 1e-10
 
 
-def _miss_modulo_signs(V, V1):
-    """min over sign diagonals D of max |V - D V1 D|."""
-    n = len(V)
-    return min(
-        np.max(np.abs(V - np.diag(d) @ V1 @ np.diag(d)))
-        for d in ((1, *rest) for rest in itertools.product((1, -1), repeat=n - 1))
-    )
-
-
 @pytest.mark.parametrize("chart, centre", [
     (build_an_chart(4), [0.8] * 4), (build_an_chart(6), [0.8] * 6), (build_p2_chart(12), [0.3, -2.0, 0.5]),
 ], ids=["A4", "A6", "P2@12"])
@@ -366,25 +414,9 @@ def test_integrate_follows_the_chart(chart, centre):
     for _ in range(4):
         t0 = np.asarray(centre) + 0.3 * rng.normal(size=ev.n) + 0.2j * rng.normal(size=ev.n)
         t1 = t0 + 0.1 * (rng.normal(size=ev.n) + 1j * rng.normal(size=ev.n))
-        frames = canonical_frames(ev, t0 + np.linspace(0, 1, 17)[:, None] * (t1 - t0))
-        path, p = [frames.u[0]], list(range(ev.n))
-        for u in frames.u[1:]:
-            p = list(match_ordering(path[-1], u))
-            path.append(u[p])
-        v1 = frames.v[-1][np.ix_(p, p)]
-        d_log_tau = g_function(ev, t0, t1, tol=1e-12).d_log_tau
-        v0 = frames.v[0]
-        bent = v0.copy()
-        bent[0, 1] += 1e-3
-        bent[1, 0] -= 1e-3
-        for start, hits in ((v0, True), (bent, False)):
-            traj = integrate(IsomonodromyState.from_matrix(path[0], start), path[1:], tol=1e-12)
-            v_miss = _miss_modulo_signs(traj.final_state.v_matrix, v1)
-            tau_miss = abs(traj.log_tau - d_log_tau)
-            if hits:
-                assert v_miss < 1e-10 and tau_miss < 1e-10
-            else:
-                assert v_miss > 1e-7 and tau_miss > 1e-7
+        (v_miss, tau_miss), (v_bent, tau_bent) = _chart_tie(ev, t0, t1)
+        assert v_miss < 1e-10 and tau_miss < 1e-10
+        assert v_bent > 1e-7 and tau_bent > 1e-7
 
 
 def test_g_function_scaling_constant_on_quantum_chart():

@@ -357,6 +357,22 @@ def test_cli_canonical_rejects_a_non_finite_frame(tmp_path, capsys):
     assert captured.err.startswith("numeric-error: frame breakdown")
 
 
+def test_cli_isomonodromy_run_names_an_overflow(tmp_path):
+    # V^2 overflows to a non-finite right-hand side: exit 2 at once, with
+    # the prefixed diagnostic alone (no traceback, no numpy warning)
+    v0 = tmp_path / "v0.json"
+    v0.write_text(json.dumps([["0", "1e170"], ["-1e170", "0"]]))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "frobforge", "isomonodromy", "run", "--v0", str(v0), "--path", "0,1;0.5,3"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("numeric-error: the right-hand side overflowed")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_cli_error_paths(tmp_path, capsys):
     # malformed JSON -> validation exit code 1
     bad = tmp_path / "bad.json"
